@@ -6,19 +6,40 @@ open Regemu_history
 
 type thread = TC of int | TL of int | TX of int
 
+(* Constructor first ([TC < TL < TX]), then the id: the order polymorphic
+   [compare] gives.  [TSet.choose_opt] picks the next backtrack thread,
+   so this order decides which schedules a truncated search visits. *)
+let thread_rank = function TC _ -> 0 | TL _ -> 1 | TX _ -> 2
+
+let thread_compare a b =
+  match (a, b) with
+  | TC x, TC y | TL x, TL y | TX x, TX y -> Int.compare x y
+  | _ -> Int.compare (thread_rank a) (thread_rank b)
+
+let thread_equal a b = thread_compare a b = 0
+
 module TMap = Map.Make (struct
   type t = thread
 
-  let compare = compare
+  let compare = thread_compare
 end)
 
 module TSet = Set.Make (struct
   type t = thread
 
-  let compare = compare
+  let compare = thread_compare
 end)
 
 type comp = Cclient of int | Cobj of int | Chist
+
+let comp_rank = function Chist -> 0 | Cclient _ -> 1 | Cobj _ -> 2
+
+let comp_compare a b =
+  match (a, b) with
+  | Cclient x, Cclient y | Cobj x, Cobj y -> Int.compare x y
+  | _ -> Int.compare (comp_rank a) (comp_rank b)
+
+let comp_equal a b = comp_compare a b = 0
 
 (* How a transition touches a component.  [Accum] is a commutative
    update: two accumulations on the same component commute exactly
@@ -31,27 +52,44 @@ type acc = Write | Accum
 
 let acc_dep a b = match (a, b) with Accum, Accum -> false | _ -> true
 
-(* A clock maps a thread to the greatest trace depth of one of its
-   events known to be in the causal past; per-thread events are totally
-   ordered by depth, so a max-depth map is a sound vector clock. *)
-type clock = int TMap.t
+(* A clock is the set of trace depths whose events are in the causal
+   past, as a bitset: depth [i] is bit [i mod w] of word [i / w].  Each
+   depth holds exactly one event, and a clock that holds an event also
+   holds its thread's earlier events (every event's clock starts from
+   its thread's), so this carries what a per-thread max-depth vector
+   clock does.  Clocks are never mutated once built, so snapshots can
+   share them. *)
+type clock = int array
 
-let clock_empty : clock = TMap.empty
-let clock_mem (v : clock) th i =
-  match TMap.find_opt th v with Some d -> d >= i | None -> false
+let clock_bits = Sys.int_size
+let clock_empty : clock = [||]
 
-let clock_join (a : clock) (b : clock) : clock =
-  TMap.union (fun _ x y -> Some (max x y)) a b
+let clock_mem (v : clock) i =
+  let w = i / clock_bits in
+  w < Array.length v && v.(w) land (1 lsl (i mod clock_bits)) <> 0
 
-let clock_add (v : clock) th d : clock =
-  TMap.update th
-    (function Some d' -> Some (max d d') | None -> Some d)
-    v
+let rec clock_join (a : clock) (b : clock) : clock =
+  if Array.length a < Array.length b then clock_join b a
+  else
+    let rec covered i = i < 0 || (b.(i) land lnot a.(i) = 0 && covered (i - 1)) in
+    if covered (Array.length b - 1) then a
+    else begin
+      let r = Array.copy a in
+      Array.iteri (fun i x -> r.(i) <- r.(i) lor x) b;
+      r
+    end
+
+let clock_add (v : clock) d : clock =
+  let w = d / clock_bits in
+  let r = Array.make (max (Array.length v) (w + 1)) 0 in
+  Array.blit v 0 r 0 (Array.length v);
+  r.(w) <- r.(w) lor (1 lsl (d mod clock_bits));
+  r
 
 module CMap = Map.Make (struct
   type t = comp
 
-  let compare = compare
+  let compare = comp_compare
 end)
 
 (* --- transition descriptors ---------------------------------------------- *)
@@ -60,8 +98,14 @@ end)
    may touch; after execution the footprint is refined with what it
    actually did (history entries recorded, clients invoked).  Crashes
    are modeled as globally dependent: [is_crash] short-circuits the
-   component intersection. *)
-type tdesc = { thread : thread; comps : (comp * acc) list; is_crash : bool }
+   component intersection.  [choice] is what {!Explore.Session.fire}
+   takes to fire it. *)
+type tdesc = {
+  thread : thread;
+  comps : (comp * acc) list;
+  is_crash : bool;
+  choice : Explore.Session.choice;
+}
 
 (* dependence between an executed event (refined footprint [ca],
    crash flag [ca_crash]) and a transition descriptor [b] *)
@@ -69,18 +113,25 @@ let dep_exec ~ca ~ca_crash (b : tdesc) =
   ca_crash || b.is_crash
   || List.exists
        (fun (c, a) ->
-         List.exists (fun (c', a') -> c = c' && acc_dep a a') b.comps)
+         List.exists (fun (c', a') -> comp_equal c c' && acc_dep a a') b.comps)
        ca
 
 let describe session =
   let sim = Explore.Session.sim session in
-  let pend = Sim.pending sim in
-  let lop_info l =
-    List.find (fun (p : Sim.pending_info) -> p.lid = l) pend
+  (* enabled responds come in trigger order, as [Sim.pending] lists
+     them, so one forward walk finds each one's info *)
+  let pend = ref (Sim.pending sim) in
+  let rec lop_info l =
+    match !pend with
+    | (p : Sim.pending_info) :: rest ->
+        pend := rest;
+        if Id.Lop.equal p.lid l then p else lop_info l
+    | [] -> invalid_arg "Dpor.describe: respond without a pending operation"
   in
   let ev_descs =
     List.map
       (fun ev ->
+        let choice = Explore.Session.Event ev in
         match ev with
         | Sim.Step c ->
             (* Chist: a step may record returns/invokes.  Executed
@@ -89,6 +140,7 @@ let describe session =
               thread = TC (Id.Client.to_int c);
               comps = [ (Cclient (Id.Client.to_int c), Write); (Chist, Write) ];
               is_crash = false;
+              choice;
             }
         | Sim.Respond l ->
             let p = lop_info l in
@@ -100,13 +152,19 @@ let describe session =
                   (Cobj (Id.Obj.to_int p.obj), Write);
                 ];
               is_crash = false;
+              choice;
             })
       (Explore.Session.enabled_events session)
   in
   let crash_descs =
     List.map
       (fun s ->
-        { thread = TX (Id.Server.to_int s); comps = []; is_crash = true })
+        {
+          thread = TX (Id.Server.to_int s);
+          comps = [];
+          is_crash = true;
+          choice = Explore.Session.Crash s;
+        })
       (Explore.Session.crash_candidates session)
   in
   Array.of_list (ev_descs @ crash_descs)
@@ -125,14 +183,11 @@ type node = {
   gclock : clock;  (* joined into everything; crashes write it *)
   mutable backtrack : TSet.t;
   mutable done_ : TSet.t;
-  mutable cur_sleep : (thread * (comp * acc) list) list;
+  mutable cur_sleep : tdesc list;
   mutable executed : int;  (* children actually fired from here *)
   (* set while one child subtree is active *)
-  mutable exec_idx : int;
+  mutable exec : tdesc;
   mutable exec_comps : (comp * acc) list;  (* refined post-execution footprint *)
-  mutable exec_is_crash : bool;
-  mutable exec_thread : thread;
-  mutable exec_clock : clock;
 }
 
 type stats = {
@@ -265,7 +320,8 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
      before it.  If [t]'s thread was not enabled there, fall back to
      the threads that causally feed [t] (or, failing that, everything
      enabled — the conservative patch that keeps the reduction
-     sound). *)
+     sound).  The bit test comes first: it is cheap and rules out most
+     events before the footprint scan. *)
   let race_detect d (t : tdesc) =
     let vt =
       match TMap.find_opt t.thread (stack_get d).cv with
@@ -276,8 +332,8 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
       if i >= 0 then begin
         let ni = stack_get i in
         if
-          dep_exec ~ca:ni.exec_comps ~ca_crash:ni.exec_is_crash t
-          && not (clock_mem vt ni.exec_thread i)
+          (not (clock_mem vt i))
+          && dep_exec ~ca:ni.exec_comps ~ca_crash:ni.exec.is_crash t
         then begin
           if TSet.mem t.thread ni.enabled_threads then
             ni.backtrack <- TSet.add t.thread ni.backtrack
@@ -285,9 +341,8 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
             (* threads with events in (i, d) inside t's causal past *)
             let feeders = ref TSet.empty in
             for m = i + 1 to d - 1 do
-              let nm = stack_get m in
-              if clock_mem vt nm.exec_thread m then
-                feeders := TSet.add nm.exec_thread !feeders
+              if clock_mem vt m then
+                feeders := TSet.add (stack_get m).exec.thread !feeders
             done;
             let cands = TSet.inter !feeders ni.enabled_threads in
             ni.backtrack <-
@@ -300,20 +355,13 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
     in
     scan (d - 1)
   in
-  (* execute descs.(idx) on [session] positioned at depth [d]'s state,
-     updating node [nd]'s exec fields; returns the child's snapshots *)
-  let execute nd d session idx =
-    let t = nd.descs.(idx) in
+  (* fire [t] on [session] positioned at depth [d]'s state, recording
+     it in node [nd]; returns the child's snapshots *)
+  let execute nd d session (t : tdesc) =
     let sim = Explore.Session.sim session in
     let time_before = Sim.now sim in
-    let lids_before =
-      List.fold_left
-        (fun acc (p : Sim.pending_info) ->
-          TSet.add (TL (Id.Lop.to_int p.lid)) acc)
-        TSet.empty (Sim.pending sim)
-    in
     let ncalls_before = List.length (Explore.Session.calls session) in
-    Explore.Session.advance session idx;
+    Explore.Session.fire session t.choice;
     incr explored;
     (* the event's clock: its thread's past, the last writers of its
        components, the global clock, and itself *)
@@ -331,30 +379,30 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
           | None -> vacc)
         (clock_join base nd.gclock) t.comps
     in
-    let v = clock_add v t.thread d in
+    let v = clock_add v d in
     (* refine the footprint with what actually happened *)
-    let recorded_h = ref false in
-    List.iter
-      (fun e ->
-        match e with
-        | Trace.Invoke _ | Trace.Return _ -> recorded_h := true
-        | _ -> ())
-      (Trace.since (Sim.trace sim) time_before);
+    let tr = Sim.trace sim in
+    let rec recorded_h i =
+      i < Trace.time tr
+      && ((match Trace.get tr i with
+          | Trace.Invoke _ | Trace.Return _ -> true
+          | _ -> false)
+         || recorded_h (i + 1))
+    in
+    let recorded_h = recorded_h time_before in
     let invoked_clients =
       (* calls are consed newest-first; the head of the list is new *)
       let cs = Explore.Session.calls session in
-      List.filteri (fun i _ -> i < List.length cs - ncalls_before) cs
+      let fresh = List.length cs - ncalls_before in
+      List.filteri (fun i _ -> i < fresh) cs
       |> List.map (fun c -> Id.Client.to_int (Sim.call_client c))
     in
     let exec_comps =
-      List.filter (fun (c, _) -> c <> Chist || !recorded_h) t.comps
+      List.filter (function Chist, _ -> recorded_h | _ -> true) t.comps
       @ List.map (fun c -> (Cclient c, Write)) invoked_clients
     in
-    nd.exec_idx <- idx;
+    nd.exec <- t;
     nd.exec_comps <- exec_comps;
-    nd.exec_is_crash <- t.is_crash;
-    nd.exec_thread <- t.thread;
-    nd.exec_clock <- v;
     (* child snapshots *)
     let cv = TMap.add t.thread v nd.cv in
     let cv =
@@ -369,11 +417,13 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
           TMap.add th (clock_join old v) acc)
         cv invoked_clients
     in
+    (* operations triggered by this event start their threads here *)
     let cv =
       List.fold_left
         (fun acc (p : Sim.pending_info) ->
-          let th = TL (Id.Lop.to_int p.lid) in
-          if TSet.mem th lids_before then acc else TMap.add th v acc)
+          if p.triggered_at > time_before then
+            TMap.add (TL (Id.Lop.to_int p.lid)) v acc
+          else acc)
         cv (Sim.pending sim)
     in
     let clast =
@@ -395,11 +445,7 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
     let gclock = if t.is_crash then v else nd.gclock in
     let sleep' =
       List.filter
-        (fun (q, qc) ->
-          let q_crash = match q with TX _ -> true | _ -> false in
-          not
-            (dep_exec ~ca:exec_comps ~ca_crash:t.is_crash
-               { thread = q; comps = qc; is_crash = q_crash }))
+        (fun q -> not (dep_exec ~ca:exec_comps ~ca_crash:t.is_crash q))
         nd.cur_sleep
     in
     nd.executed <- nd.executed + 1;
@@ -407,7 +453,7 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
   in
   let prefix_of d =
     let rec go i acc =
-      if i < 0 then acc else go (i - 1) ((stack_get i).exec_idx :: acc)
+      if i < 0 then acc else go (i - 1) ((stack_get i).exec.choice :: acc)
     in
     go (d - 1) []
   in
@@ -436,17 +482,14 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
               done_ = TSet.empty;
               cur_sleep = (if sleep then sleep_in else []);
               executed = 0;
-              exec_idx = -1;
+              exec = descs.(0);
               exec_comps = [];
-              exec_is_crash = false;
-              exec_thread = TC (-1);
-              exec_clock = clock_empty;
             }
           in
           stack_set d nd;
           if dpor then Array.iter (fun t -> race_detect d t) descs;
           let sleeping th =
-            List.exists (fun (q, _) -> q = th) nd.cur_sleep
+            List.exists (fun q -> thread_equal q.thread th) nd.cur_sleep
           in
           (* seed the backtrack set: everything under plain brute
              force, one non-sleeping transition under DPOR *)
@@ -477,27 +520,24 @@ let run ?(dpor = true) ?(sleep = true) ?(check_invariants = true)
                   end
                   else if !explored >= max_explored then truncated := true
                   else begin
-                    let idx = ref (-1) in
-                    Array.iteri
-                      (fun i t -> if t.thread = th && !idx < 0 then idx := i)
-                      nd.descs;
+                    let t =
+                      Option.get
+                        (Array.find_opt
+                           (fun t -> thread_equal t.thread th)
+                           nd.descs)
+                    in
                     let s =
                       if !fresh then session
                       else begin
-                        let prefix = prefix_of d in
-                        replayed := !replayed + List.length prefix;
-                        Explore.Session.replay scenario prefix
+                        replayed := !replayed + d;
+                        Explore.Session.replay scenario (prefix_of d)
                       end
                     in
                     fresh := false;
-                    let cv', clast', gclock', sleep' =
-                      execute nd d s !idx
-                    in
+                    let cv', clast', gclock', sleep' = execute nd d s t in
                     explore s (d + 1) ~cv:cv' ~clast:clast' ~gclock:gclock'
                       ~sleep_in:sleep';
-                    nd.cur_sleep <-
-                      (nd.descs.(!idx).thread, nd.descs.(!idx).comps)
-                      :: nd.cur_sleep;
+                    nd.cur_sleep <- t :: nd.cur_sleep;
                     loop ()
                   end
           in

@@ -5,15 +5,23 @@
     Where {!Explore.run} fires every enabled transition at every state,
     this engine executes one transition per state and plants {e
     backtrack points} only where two transitions genuinely race:
-    happens-before is tracked with vector clocks over a component
-    model — a per-client component (predicate wake-ups and response
-    delivery), a per-object component (state application at respond),
-    and a history component carried by every step that records an
-    invocation or return — and a transition is re-ordered against an
-    earlier one only when their footprints intersect and neither is in
-    the other's causal past.  Sleep sets prune the remaining
-    commutative permutations.  Crash choices are treated as globally
-    dependent, so every crash placement is still explored.
+    happens-before is tracked over a component model — a per-client
+    component (predicate wake-ups and response delivery), a per-object
+    component (state application at respond), and a history component
+    carried by every step that records an invocation or return — and a
+    transition is re-ordered against an earlier one only when their
+    footprints intersect and neither is in the other's causal past.
+    Sleep sets prune the remaining commutative permutations.  Crash
+    choices are treated as globally dependent, so every crash
+    placement is still explored.
+
+    A causal past is a bitset over trace depth: each depth of the
+    current path holds exactly one event, so "the event at depth [i]
+    happened before" is one bit test and joining two pasts is a
+    word-wise OR.  This carries the same information as a per-thread
+    vector clock, because every event's past includes its own
+    thread's earlier events.  Backtracking rebuilds a state by
+    replaying the recorded events of its path from a fresh run.
 
     Soundness relies on two facts about the substrate checked in
     test/suite_explore.ml: high-level history entries are recorded

@@ -67,19 +67,25 @@ let result_pp ppf r =
    so other search strategies (the DPOR engine in {!Dpor}) can drive
    the same scenarios. *)
 module Session = struct
+  type choice = Event of Sim.event | Crash of Id.Server.t
+
+  (* a client's scripted operations not yet invoked *)
+  type slot = { client : Id.Client.t; mutable ops : Trace.hop list }
+
   type t = {
     scenario : scenario;
     sim : Sim.t;
-    get_calls : unit -> Sim.call list;
-    all_invoked : unit -> bool;
-    advance : int -> unit;  (* fire the idx-th enabled event, auto-invoke *)
+    slots : (int, slot) Hashtbl.t;  (* by client id *)
+    calls : Sim.call list ref;  (* newest first *)
+    auto_invoke : unit -> unit;
   }
 
   let create scenario =
     let sim, invoke1, script = scenario.make () in
-    let remaining = Hashtbl.create 8 in
+    let slots = Hashtbl.create 8 in
     List.iter
-      (fun (c, ops) -> Hashtbl.replace remaining (Id.Client.to_int c) (c, ops))
+      (fun (c, ops) ->
+        Hashtbl.replace slots (Id.Client.to_int c) { client = c; ops })
       script;
     let calls = ref [] in
     (* script-order queue for Sequential mode *)
@@ -94,76 +100,65 @@ module Session = struct
       | Eager ->
           let progressed = ref false in
           Hashtbl.iter
-            (fun key (c, ops) ->
-              match ops with
-              | hop :: rest when not (Sim.client_busy sim c) ->
-                  Hashtbl.replace remaining key (c, rest);
-                  calls := invoke1 c hop :: !calls;
+            (fun _ s ->
+              match s.ops with
+              | hop :: rest when not (Sim.client_busy sim s.client) ->
+                  s.ops <- rest;
+                  calls := invoke1 s.client hop :: !calls;
                   progressed := true
               | _ -> ())
-            (Hashtbl.copy remaining);
+            slots;
           if !progressed then auto_invoke ()
       | Sequential -> (
           let all_returned = List.for_all Sim.call_returned !calls in
           match !seq_queue with
           | (c, hop) :: rest when all_returned ->
               seq_queue := rest;
-              (match Hashtbl.find_opt remaining (Id.Client.to_int c) with
-              | Some (c', _ :: ops_rest) ->
-                  Hashtbl.replace remaining (Id.Client.to_int c) (c', ops_rest)
+              (match Hashtbl.find_opt slots (Id.Client.to_int c) with
+              | Some ({ ops = _ :: ops_rest; _ } as s) -> s.ops <- ops_rest
               | _ -> ());
               calls := invoke1 c hop :: !calls;
               auto_invoke ()
           | _ -> ())
     in
     auto_invoke ();
-    {
-      scenario;
-      sim;
-      get_calls = (fun () -> !calls);
-      all_invoked =
-        (fun () ->
-          Hashtbl.fold (fun _ (_, ops) acc -> acc && ops = []) remaining true);
-      advance =
-        (fun idx ->
-          let evs = Sim.enabled sim in
-          let n_ev = List.length evs in
-          if idx < n_ev then Sim.fire sim (List.nth evs idx)
-          else begin
-            (* a crash choice: index into the correct servers *)
-            let correct =
-              List.filter
-                (fun s -> not (Sim.server_crashed sim s))
-                (Sim.servers sim)
-            in
-            Sim.crash_server sim (List.nth correct (idx - n_ev))
-          end;
-          auto_invoke ());
-    }
+    { scenario; sim; slots; calls; auto_invoke }
 
   let sim t = t.sim
-  let calls t = t.get_calls ()
-  let advance t idx = t.advance idx
+  let calls t = !(t.calls)
+
+  let fire t choice =
+    (match choice with
+    | Event ev -> Sim.fire t.sim ev
+    | Crash s -> Sim.crash_server t.sim s);
+    t.auto_invoke ()
+
+  let correct_servers sim =
+    List.filter (fun s -> not (Sim.server_crashed sim s)) (Sim.servers sim)
+
+  let advance t idx =
+    let evs = Sim.enabled t.sim in
+    let n_ev = List.length evs in
+    fire t
+      (if idx < n_ev then Event (List.nth evs idx)
+       else Crash (List.nth (correct_servers t.sim) (idx - n_ev)))
 
   let finished t =
-    t.all_invoked () && List.for_all Sim.call_returned (t.get_calls ())
+    Hashtbl.fold (fun _ s acc -> acc && s.ops = []) t.slots true
+    && List.for_all Sim.call_returned !(t.calls)
 
   let crash_candidates t =
     let so_far = Id.Server.Set.cardinal (Sim.crashed_servers t.sim) in
-    if so_far < t.scenario.crashes then
-      List.filter
-        (fun s -> not (Sim.server_crashed t.sim s))
-        (Sim.servers t.sim)
-    else []
+    if so_far < t.scenario.crashes then correct_servers t.sim else []
 
   let enabled_events t = Sim.enabled t.sim
 
   let width t =
     List.length (enabled_events t) + List.length (crash_candidates t)
 
-  let replay scenario prefix =
+  let replay scenario choices =
     let t = create scenario in
-    List.iter (advance t) prefix;
+    List.iter (fire t) choices;
     t
 end
 

@@ -73,11 +73,19 @@ val emulation_scenario :
 module Session : sig
   type t
 
+  (** One transition: fire an enabled simulator event, or crash a
+      server. *)
+  type choice = Event of Sim.event | Crash of Id.Server.t
+
   (** Fresh run, with the initially eligible operations invoked. *)
   val create : scenario -> t
 
   val sim : t -> Sim.t
   val calls : t -> Sim.call list
+
+  (** [fire t c] takes choice [c], which must be available now (an
+      enabled event, or a server not yet crashed), then auto-invokes. *)
+  val fire : t -> choice -> unit
 
   (** [advance t idx] fires the [idx]-th choice: indices below the
       number of enabled simulator events fire that event; the rest
@@ -96,10 +104,10 @@ module Session : sig
   (** Number of choices available now (events + crashes). *)
   val width : t -> int
 
-  (** [replay scenario prefix] rebuilds a run and advances it through
-      [prefix] — choices are deterministic, so this reproduces the
-      state exactly. *)
-  val replay : scenario -> int list -> t
+  (** [replay scenario choices] rebuilds a run and fires [choices] in
+      order — runs are deterministic, so this reproduces the state
+      exactly. *)
+  val replay : scenario -> choice list -> t
 end
 
 type result = {

@@ -184,6 +184,152 @@ let cert_tests =
         | Error _ -> ());
   ]
 
+(* --- golden statistics ---------------------------------------------------- *)
+
+(* Every counter of four fixed searches, recorded before the engine's
+   inner loop was made cheaper.  An optimisation must explore exactly
+   the same schedules in the same order, so each field (replays and
+   sleep-set skips included) has to come out identical; the sorted
+   fingerprint list is pinned by its digest.  The budgets truncate, so
+   the order in which backtrack threads are picked shows too. *)
+let stats_summary (s : Dpor.stats) =
+  Printf.sprintf
+    "explored=%d replayed=%d pruned=%d sleep_skipped=%d terminal=%d \
+     stuck=%d distinct=%d max_depth=%d exhaustive=%b ws_safe=%d \
+     ws_regular=%d invariant=%d first_violation=%s fingerprints=%s"
+    s.explored s.replayed s.pruned s.sleep_skipped s.terminal_runs
+    s.stuck_runs s.distinct_states s.max_depth s.exhaustive
+    s.ws_safe_violations s.ws_regular_violations s.invariant_violations
+    (match s.first_violation with
+    | None -> "none"
+    | Some m -> Printf.sprintf "%S" m)
+    (Digest.to_hex (Digest.string (String.concat "\n" s.state_fingerprints)))
+
+let golden name ?dpor ?sleep sc ~max_explored expected =
+  test name (fun () ->
+      Alcotest.(check string)
+        "stats" expected
+        (stats_summary (Dpor.run ?dpor ?sleep sc ~max_explored)))
+
+let str s = Value.Str s
+
+let golden_tests =
+  [
+    (* the benchmark's search-dpor shape: Algorithm 2, 2 writers x 2
+       writes and 1 reader x 2 reads, sequential *)
+    golden "search-dpor shape at 500 transitions"
+      (scenario Regemu_core.Algorithm2.factory ~p:p2
+         ~writer_ops:[ [ str "a1"; str "a2" ]; [ str "b1"; str "b2" ] ]
+         ~readers:1 ~reads_each:2 ())
+      ~max_explored:500
+      "explored=500 replayed=5626 pruned=1096 sleep_skipped=53 terminal=78 \
+       stuck=0 distinct=1 max_depth=57 exhaustive=false ws_safe=0 \
+       ws_regular=0 invariant=0 first_violation=none \
+       fingerprints=5cc36d184d7fb1c0127a0843ec89ed73";
+    golden "algorithm 2, k=2, eager, one crash, truncated"
+      (Explore.emulation_scenario Regemu_core.Algorithm2.factory p2
+         ~mode:Explore.Eager ~crashes:1
+         ~writer_ops:[ [ str "a" ]; [ str "b" ] ]
+         ~readers:1 ~reads_each:1 ())
+      ~max_explored:5000
+      "explored=5000 replayed=38812 pruned=4154 sleep_skipped=708 \
+       terminal=1318 stuck=0 distinct=2 max_depth=30 exhaustive=false \
+       ws_safe=0 ws_regular=0 invariant=0 first_violation=none \
+       fingerprints=901b663dcd551205a5c915abd06ec1f8";
+    golden "naive register, eager, invariants checked"
+      (scenario Regemu_baselines.Naive_reg.factory ~mode:Explore.Eager
+         ~writer_ops:[ [ str "a1"; str "a2" ] ]
+         ~readers:1 ~reads_each:1 ())
+      ~max_explored:5000
+      "explored=5000 replayed=21305 pruned=4931 sleep_skipped=785 \
+       terminal=1369 stuck=0 distinct=8 max_depth=19 exhaustive=false \
+       ws_safe=0 ws_regular=0 invariant=507 first_violation=\"invariant: \
+       at t=28, client c0: 2 of its writes pending on b1 simultaneously\" \
+       fingerprints=8a47500665ece2840e305943ba3b0476";
+    golden "abd-max brute force (no reduction, no sleep sets)" ~dpor:false
+      ~sleep:false
+      (scenario Regemu_baselines.Abd_max.factory
+         ~writer_ops:[ [ str "a" ] ]
+         ~readers:1 ~reads_each:1 ())
+      ~max_explored:5000
+      "explored=5000 replayed=20663 pruned=7 sleep_skipped=0 terminal=2272 \
+       stuck=0 distinct=1 max_depth=12 exhaustive=false ws_safe=0 \
+       ws_regular=0 invariant=0 first_violation=none \
+       fingerprints=fd9309f06771eaf72db2b86cf3ae516e";
+  ]
+
+(* --- the committed certificates ------------------------------------------- *)
+
+let cert_file dir =
+  let rel = Filename.concat "experiments" (Filename.concat dir "cert.json") in
+  if Sys.file_exists (Filename.concat ".." rel) then Filename.concat ".." rel
+    (* dune runtest cwd *)
+  else rel (* repo root *)
+
+(* [make explore-exhaustive] writes experiments/exhaustive-*/cert.json
+   with [regemu explore --exhaustive --algo A -f 1 -n 3 --ops-each 2];
+   rebuild each in-process the same way and compare it with the file. *)
+let committed_cert_test (dir, algo, factory) =
+  test (Fmt.str "%s/cert.json is reproduced" dir) (fun () ->
+      let budget = 2_000_000 in
+      let stats =
+        Dpor.run
+          (scenario factory
+             ~writer_ops:[ [ str "v0.0"; str "v0.1" ] ]
+             ~readers:1 ~reads_each:2 ())
+          ~max_explored:budget
+      in
+      let cert =
+        Cert.make
+          ~config:
+            {
+              Cert.algo;
+              k = 1;
+              f = 1;
+              n = 3;
+              mode = "sequential";
+              writer_ops = [ 2 ];
+              readers = 1;
+              reads_each = 2;
+              crashes = 0;
+              max_explored = budget;
+            }
+          ~dpor:true ~sleep:true stats
+      in
+      let path = cert_file dir in
+      let fields = function
+        | Regemu_obs.Json.Obj kvs -> kvs
+        | _ -> Alcotest.failf "%s: not a JSON object" path
+      in
+      let on_disk =
+        match Regemu_obs.Json.of_file path with
+        | Ok j -> fields j
+        | Error m -> Alcotest.failf "%s: %s" path m
+      in
+      let rebuilt = fields (Cert.to_json cert) in
+      Alcotest.(check (list string))
+        "same fields" (List.map fst on_disk) (List.map fst rebuilt);
+      List.iter
+        (fun (k, v) ->
+          Alcotest.(check string)
+            k
+            (Regemu_obs.Json.to_string v)
+            (Regemu_obs.Json.to_string (List.assoc k rebuilt)))
+        on_disk;
+      let ic = open_in_bin path in
+      let bytes = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check string)
+        "byte-identical" bytes
+        (Regemu_obs.Json.to_string (Cert.to_json cert) ^ "\n"))
+
+let committed_cert_tests =
+  List.map committed_cert_test
+    [
+      ("exhaustive-abd", "abd-max", Regemu_baselines.Abd_max.factory);
+      ("exhaustive-alg2", "algorithm2", Regemu_core.Algorithm2.factory);
+    ]
+
 (* --- coverage bitmap ----------------------------------------------------- *)
 
 let coverage_tests =
@@ -295,7 +441,8 @@ let cgfuzz_tests =
 let suites =
   [
     ("explore.dpor", dpor_tests);
-    ("explore.cert", cert_tests);
+    ("explore.golden", golden_tests);
+    ("explore.cert", cert_tests @ committed_cert_tests);
     ("explore.coverage", coverage_tests);
     ("explore.cgfuzz", cgfuzz_tests);
   ]

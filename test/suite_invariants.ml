@@ -187,9 +187,117 @@ let property_tests =
                    QCheck.Test.fail_reportf "%a" Invariants.violation_pp v)));
   ]
 
+(* --- the incremental check against a whole-table re-fold ------------------ *)
+
+(* The original form of [single_pending_write_per_writer_register]:
+   after every trace entry, fold over the whole pending table and report
+   the first (client, register) with more than one write pending.  The
+   library checks only the key the entry touched; both must report the
+   same first violation, at the same time and with the same message. *)
+let refold_oracle tr =
+  let is_write = function Base_object.Write _ -> true | _ -> false in
+  let pending : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
+  let owner_of_lop : (int, int * int) Hashtbl.t = Hashtbl.create 32 in
+  let count key = Option.value ~default:0 (Hashtbl.find_opt pending key) in
+  let time = ref 0 in
+  let error = ref None in
+  Trace.iter
+    (fun entry ->
+      incr time;
+      if !error = None then begin
+        (match entry with
+        | Trace.Trigger { lid; client; obj; op } when is_write op ->
+            let key = (Id.Client.to_int client, Id.Obj.to_int obj) in
+            Hashtbl.replace owner_of_lop (Id.Lop.to_int lid) key;
+            Hashtbl.replace pending key (count key + 1)
+        | Trace.Respond { lid; op; _ } when is_write op -> (
+            match Hashtbl.find_opt owner_of_lop (Id.Lop.to_int lid) with
+            | Some key -> Hashtbl.replace pending key (count key - 1)
+            | None -> ())
+        | _ -> ());
+        error :=
+          Hashtbl.fold
+            (fun (c, o) n acc ->
+              match acc with
+              | Some _ -> acc
+              | None ->
+                  if n > 1 then
+                    Some
+                      {
+                        Invariants.at = !time;
+                        client = Id.Client.of_int c;
+                        detail =
+                          Fmt.str
+                            "%d of its writes pending on %a simultaneously" n
+                            Id.Obj.pp (Id.Obj.of_int o);
+                      }
+                  else None)
+            pending None
+      end)
+    tr;
+  match !error with None -> Ok () | Some v -> Error v
+
+(* a run of [sc] under uniformly random choices (events and crashes),
+   cut after at most [max_steps] transitions *)
+let random_session_trace sc rng ~max_steps =
+  let open Regemu_mcheck.Explore in
+  let s = Session.create sc in
+  let rec go n =
+    if n < max_steps && not (Session.finished s) then begin
+      let w = Session.width s in
+      if w > 0 then begin
+        Session.advance s (Random.State.int rng w);
+        go (n + 1)
+      end
+    end
+  in
+  go 0;
+  Sim.trace (Session.sim s)
+
+let differential_tests =
+  let p = Params.make_exn ~k:2 ~f:1 ~n:3 in
+  let shown = Result.map_error (Fmt.str "%a" Invariants.violation_pp) in
+  List.map
+    (fun (name, factory, expect_violations) ->
+      test
+        (Fmt.str "incremental check = whole-table re-fold (%s)" name)
+        (fun () ->
+          let sc =
+            Regemu_mcheck.Explore.emulation_scenario factory p
+              ~mode:Regemu_mcheck.Explore.Eager ~crashes:1
+              ~writer_ops:
+                [
+                  [ Value.Str "a1"; Value.Str "a2"; Value.Str "a3" ];
+                  [ Value.Str "b1"; Value.Str "b2" ];
+                ]
+              ~readers:1 ~reads_each:2 ()
+          in
+          let rng = Random.State.make [| 7 |] in
+          let violations = ref 0 in
+          for run = 1 to 3000 do
+            let tr =
+              random_session_trace sc rng
+                ~max_steps:(1 + Random.State.int rng 120)
+            in
+            let want = shown (refold_oracle tr) in
+            if Result.is_error want then incr violations;
+            Alcotest.(check (result unit string))
+              (Fmt.str "run %d" run) want
+              (shown (Invariants.single_pending_write_per_writer_register tr))
+          done;
+          Alcotest.(check bool)
+            (Fmt.str "%d violating runs" !violations)
+            expect_violations (!violations > 0)))
+    [
+      ("naive-reg", Regemu_baselines.Naive_reg.factory, true);
+      ("algorithm2", Regemu_core.Algorithm2.factory, false);
+      ("waitall-reg", Regemu_baselines.Waitall_reg.factory, false);
+    ]
+
 let suites =
   [
     ("invariants:unit", unit_tests);
     ("invariants:discipline", discipline_tests);
     ("invariants:properties", property_tests);
+    ("invariants:differential", differential_tests);
   ]
