@@ -539,10 +539,32 @@ let explore_cmd =
              a 200-schedule coverage-guided burst on the quiet profile that \
              must find no violations.")
   in
-  let live_algo_of_name = function
-    | "algorithm2" -> Some Regemu_live.Live_bench.Alg2
-    | "abd-max" | "abd-max-atomic" -> Some Regemu_live.Live_bench.Abd
-    | _ -> None
+  (* --algo names a shared-memory emulation for the schedule search, or
+     a live algorithm of the registry (aliases included) for --fuzz-cg *)
+  let algo_arg =
+    let parse s =
+      match (List.assoc_opt s factories, Regemu_live.Algo.of_name s) with
+      | None, None ->
+          let names =
+            List.map fst factories
+            @ List.map Regemu_live.Algo.name Regemu_live.Algo.all
+          in
+          Error
+            (`Msg
+               (Fmt.str "unknown algorithm %S; valid: %s" s
+                  (String.concat ", " (List.sort_uniq String.compare names))))
+      | factory, _ -> Ok (s, factory)
+    in
+    Arg.(
+      value
+      & opt
+          (conv (parse, fun ppf (name, _) -> Fmt.string ppf name))
+          ("algorithm2", Some Regemu_core.Algorithm2.factory)
+      & info [ "algo" ]
+          ~doc:
+            "Emulation algorithm; with --fuzz-cg, the live algorithm \
+             ($(b,abd), $(b,abd-wb), $(b,algorithm2), $(b,cds), or the \
+             aliases $(b,alg2), $(b,abd-max), $(b,abd-max-atomic)).")
   in
   let scenario_of factory p ~eager ~crashes ~ops_each =
     Regemu_mcheck.Explore.emulation_scenario factory p
@@ -616,11 +638,11 @@ let explore_cmd =
   in
   let run_fuzz_cg name ~writers ~readers ~f ~n ~ops ~seed ~profile ~corpus
       ~budget ~json =
-    match live_algo_of_name name with
+    match Regemu_live.Algo.of_name name with
     | None ->
         Fmt.epr
-          "error: --fuzz-cg drives the live stack; use --algo algorithm2 or \
-           --algo abd-max@.";
+          "error: --fuzz-cg drives the live stack; use --algo abd, abd-wb, \
+           algorithm2 or cds@.";
         1
     | Some algo ->
         let base =
@@ -709,11 +731,15 @@ let explore_cmd =
       ops_each cert_out fuzz_cg profile corpus readers ops json smoke seed =
     if smoke then run_smoke ~seed
     else
-      match fuzz_cg with
-      | Some cg_budget ->
+      match (fuzz_cg, factory) with
+      | Some cg_budget, _ ->
           run_fuzz_cg name ~writers:writes ~readers ~f ~n ~ops ~seed ~profile
             ~corpus ~budget:cg_budget ~json
-      | None ->
+      | None, None ->
+          Fmt.epr "error: %s is a live algorithm; it runs only with --fuzz-cg@."
+            name;
+          1
+      | None, Some factory ->
           exit_of
             (Result.map
                (fun p ->
@@ -991,28 +1017,29 @@ end
 (* --- live --------------------------------------------------------------- *)
 
 (* One source of truth for live algorithm names: parse through
-   Live_bench.algo_of_name, so an unknown name is rejected with the
+   Algo.of_name, so an unknown name is rejected with the
    valid list quoted — never silently defaulted — and a newly
    registered algorithm reaches every command that uses this conv. *)
 let live_algo_conv =
   let parse s =
-    match Regemu_live.Live_bench.algo_of_name s with
+    match Regemu_live.Algo.of_name s with
     | Some a -> Ok a
     | None ->
         Error
           (`Msg
              (Fmt.str "unknown algorithm %S; valid: %s" s
-                (String.concat ", " Regemu_live.Live_bench.algo_names)))
+                (String.concat ", "
+                   (List.map Regemu_live.Algo.name Regemu_live.Algo.all))))
   in
   Arg.conv
-    (parse, fun ppf a -> Fmt.string ppf (Regemu_live.Live_bench.algo_name a))
+    (parse, fun ppf a -> Fmt.string ppf (Regemu_live.Algo.name a))
 
 let live_cmd =
   let open Regemu_live in
   let algo_arg =
     Arg.(
       value
-      & opt live_algo_conv Live_bench.Abd
+      & opt live_algo_conv Algo.Abd
       & info [ "algo" ]
           ~doc:"Protocol to run: $(b,abd), $(b,abd-wb), $(b,algorithm2), or \
                 $(b,cds).")
@@ -1521,7 +1548,7 @@ let dst_cmd =
   let algo_arg =
     Arg.(
       value
-      & opt live_algo_conv Regemu_live.Live_bench.Abd
+      & opt live_algo_conv Regemu_live.Algo.Abd
       & info [ "algo" ]
           ~doc:"Protocol under test: $(b,abd), $(b,abd-wb), \
                 $(b,algorithm2), or $(b,cds).")
@@ -1856,7 +1883,7 @@ let keyspace_cmd =
   let kalgo_arg =
     Arg.(
       value
-      & opt live_algo_conv Regemu_live.Live_bench.Abd
+      & opt live_algo_conv Regemu_live.Algo.Abd
       & info [ "algo" ]
           ~doc:"Emulation running the per-key quorums.  Only $(b,abd) has \
                 a keyed form today; anything else is rejected.")

@@ -1,21 +1,17 @@
-open Regemu_bounds
 open Regemu_objects
 open Regemu_live
 module Json = Regemu_obs.Json
 
-type algo = Abd | Alg2 | Cds | Keyed
+type algo = Register of Algo.t | Keyed
 
-let algo_name = function
-  | Abd -> "abd"
-  | Alg2 -> "algorithm2"
-  | Cds -> "cds"
-  | Keyed -> "keyspace"
+let algo_name = function Register a -> Algo.name a | Keyed -> "keyspace"
 
 (* scenario-name suffix: the ABD arms keep their historical bare names *)
 let algo_suffix = function
-  | Abd -> ""
-  | Alg2 -> "-alg2"
-  | Cds -> "-cds"
+  | Register Algo.Abd -> ""
+  | Register Algo.Abd_wb -> "-abd-wb"
+  | Register Algo.Alg2 -> "-alg2"
+  | Register Algo.Cds -> "-cds"
   | Keyed -> "-keyed"
 
 type expectation = Clean | Degraded | Violation
@@ -204,16 +200,7 @@ let run ?(log = ignore) ?(sink = Sink.none) s =
   let readers = List.init s.readers (fun _ -> Cluster.new_client cluster) in
   let write, read =
     match s.algo with
-    | Abd ->
-        let abd = Abd_live.create cluster ~f:s.f () in
-        (Abd_live.write abd, Abd_live.read abd)
-    | Alg2 ->
-        let p = Params.make_exn ~k:s.k ~f:s.f ~n:s.n in
-        let alg2 = Alg2_live.create cluster p ~writers () in
-        (Alg2_live.write alg2, Alg2_live.read alg2)
-    | Cds ->
-        let cds = Cds_live.create cluster ~f:s.f ~writers () in
-        (Cds_live.write cds, Cds_live.read cds)
+    | Register a -> Algo.start a cluster ~f:s.f ~writers
     | Keyed ->
         (* every operation targets key 0: the schedule partitions that
            key's replica set, so the keyed retry/fail-fast path is what
@@ -265,7 +252,7 @@ let base ~seed =
   {
     name = "";
     descr = "";
-    algo = Abd;
+    algo = Register Algo.Abd;
     k = 1;
     readers = 2;
     f = 1;
@@ -312,7 +299,7 @@ let rolling_crashes ~seed ~algo ~rounds ~ops =
         (Schedule.rolling_crashes ~n:3 ~rounds ~gap_ms:90 ());
   }
 
-let majority_partition ?(algo = Abd) ~seed () =
+let majority_partition ?(algo = Register Algo.Abd) ~seed () =
   {
     (base ~seed) with
     name = "majority-partition" ^ algo_suffix algo;
@@ -328,7 +315,7 @@ let majority_partition ?(algo = Abd) ~seed () =
         (Schedule.minority_partition ~n:3 ~at_ms:80 ~heal_at_ms:600);
   }
 
-let flapping ?(algo = Abd) ~seed () =
+let flapping ?(algo = Register Algo.Abd) ~seed () =
   {
     (base ~seed) with
     name = "flapping" ^ algo_suffix algo;
@@ -343,7 +330,7 @@ let flapping ?(algo = Abd) ~seed () =
         (Schedule.flapping ~n:3 ~flips:5 ~gap_ms:100 ~seed:(seed + 100));
   }
 
-let beyond_f ?(algo = Abd) ~seed ~heal_at_ms ~outage_ops () =
+let beyond_f ?(algo = Register Algo.Abd) ~seed ~heal_at_ms ~outage_ops () =
   {
     (base ~seed) with
     name = "beyond-f" ^ algo_suffix algo;
@@ -363,7 +350,7 @@ let beyond_f ?(algo = Abd) ~seed ~heal_at_ms ~outage_ops () =
       @ one_phase ~label:"recovered" ~writes:4 ~reads:4 ~gap_ms:15 [];
   }
 
-let amnesia ?(algo = Abd) ~seed ~ops () =
+let amnesia ?(algo = Register Algo.Abd) ~seed ~ops () =
   {
     (base ~seed) with
     name = "amnesia" ^ algo_suffix algo;
@@ -385,7 +372,7 @@ let amnesia ?(algo = Abd) ~seed ~ops () =
 
 (* --- gray-failure scenarios --------------------------------------------- *)
 
-let one_straggler ?(algo = Abd) ~seed ~slow_us ~ops () =
+let one_straggler ?(algo = Register Algo.Abd) ~seed ~slow_us ~ops () =
   {
     (base ~seed) with
     name = "one-straggler" ^ algo_suffix algo;
@@ -460,9 +447,10 @@ let keyspace_outage ~seed ~heal_at_ms ~outage_ops =
   }
 
 let campaign ~seed =
+  let alg2 = Register Algo.Alg2 and cds = Register Algo.Cds in
   [
-    rolling_crashes ~seed ~algo:Abd ~rounds:2 ~ops:12;
-    rolling_crashes ~seed:(seed + 1) ~algo:Alg2 ~rounds:1 ~ops:10;
+    rolling_crashes ~seed ~algo:(Register Algo.Abd) ~rounds:2 ~ops:12;
+    rolling_crashes ~seed:(seed + 1) ~algo:alg2 ~rounds:1 ~ops:10;
     majority_partition ~seed:(seed + 2) ();
     flapping ~seed:(seed + 3) ();
     beyond_f ~seed:(seed + 4) ~heal_at_ms:1500 ~outage_ops:5 ();
@@ -473,23 +461,24 @@ let campaign ~seed =
     keyspace_outage ~seed:(seed + 9) ~heal_at_ms:1500 ~outage_ops:5;
     (* the CDS arms: the rival emulation through the same nemeses,
        including the two model-edge scenarios (beyond-f, amnesia) *)
-    rolling_crashes ~seed:(seed + 10) ~algo:Cds ~rounds:1 ~ops:10;
-    majority_partition ~algo:Cds ~seed:(seed + 11) ();
-    flapping ~algo:Cds ~seed:(seed + 12) ();
-    beyond_f ~algo:Cds ~seed:(seed + 13) ~heal_at_ms:1500 ~outage_ops:5 ();
-    amnesia ~algo:Cds ~seed:(seed + 14) ~ops:8 ();
-    one_straggler ~algo:Cds ~seed:(seed + 15) ~slow_us:5_000 ~ops:10 ();
+    rolling_crashes ~seed:(seed + 10) ~algo:cds ~rounds:1 ~ops:10;
+    majority_partition ~algo:cds ~seed:(seed + 11) ();
+    flapping ~algo:cds ~seed:(seed + 12) ();
+    beyond_f ~algo:cds ~seed:(seed + 13) ~heal_at_ms:1500 ~outage_ops:5 ();
+    amnesia ~algo:cds ~seed:(seed + 14) ~ops:8 ();
+    one_straggler ~algo:cds ~seed:(seed + 15) ~slow_us:5_000 ~ops:10 ();
   ]
 
 let smoke ~seed =
+  let cds = Register Algo.Cds in
   [
-    rolling_crashes ~seed ~algo:Abd ~rounds:1 ~ops:8;
+    rolling_crashes ~seed ~algo:(Register Algo.Abd) ~rounds:1 ~ops:8;
     beyond_f ~seed:(seed + 4) ~heal_at_ms:800 ~outage_ops:3 ();
     amnesia ~seed:(seed + 5) ~ops:5 ();
     one_straggler ~seed:(seed + 6) ~slow_us:4_000 ~ops:6 ();
     keyspace_outage ~seed:(seed + 9) ~heal_at_ms:800 ~outage_ops:3;
-    rolling_crashes ~seed:(seed + 10) ~algo:Cds ~rounds:1 ~ops:8;
-    amnesia ~algo:Cds ~seed:(seed + 14) ~ops:5 ();
+    rolling_crashes ~seed:(seed + 10) ~algo:cds ~rounds:1 ~ops:8;
+    amnesia ~algo:cds ~seed:(seed + 14) ~ops:5 ();
   ]
 
 let names () = List.map (fun s -> s.name) (campaign ~seed:0)

@@ -19,9 +19,9 @@
     Two runs with the same seed replay the same campaign. *)
 
 type algo =
-  | Abd
-  | Alg2
-  | Cds  (** the CDS multi-writer data store ({!Regemu_live.Cds_live}) *)
+  | Register of Regemu_live.Algo.t
+      (** one single-register algorithm from the registry, built with
+          {!Regemu_live.Algo.start} *)
   | Keyed
       (** drive {!Regemu_keyspace.Kspace} operations on key 0 — the
           keyed retry path; keyed ops log to the kspace's Klog, so the

@@ -5,7 +5,7 @@ module Json = Regemu_obs.Json
 
 type config = {
   seed : int;
-  algo : Live_bench.algo;
+  algo : Algo.t;
   writers : int;
   readers : int;
   f : int;
@@ -26,7 +26,7 @@ type config = {
 let default_config ~seed =
   {
     seed;
-    algo = Live_bench.Abd;
+    algo = Algo.Abd;
     (* one writer: WS-regularity is only checkable on write-sequential
        histories, so concurrent writers would leave every verdict
        vacuous *)
@@ -187,24 +187,7 @@ let run ?(choices = [||]) ?(sink = Sink.none) cfg =
         let readers =
           List.init cfg.readers (fun _ -> Cluster.new_client cluster)
         in
-        let write, read =
-          match cfg.algo with
-          | Live_bench.Abd | Live_bench.Abd_wb ->
-              let abd =
-                Abd_live.create cluster ~f:cfg.f
-                  ~write_back_reads:(cfg.algo = Live_bench.Abd_wb) ()
-              in
-              (Abd_live.write abd, Abd_live.read abd)
-          | Live_bench.Alg2 ->
-              let p =
-                Regemu_bounds.Params.make_exn ~k:cfg.writers ~f:cfg.f ~n:cfg.n
-              in
-              let alg2 = Alg2_live.create cluster p ~writers () in
-              (Alg2_live.write alg2, Alg2_live.read alg2)
-          | Live_bench.Cds ->
-              let cds = Cds_live.create cluster ~f:cfg.f ~writers () in
-              (Cds_live.write cds, Cds_live.read cds)
-        in
+        let write, read = Algo.start cfg.algo cluster ~f:cfg.f ~writers in
         Cluster.start cluster;
         let checker = Checker.spawn ~sched:hook cluster ~interval_s:0.005 () in
         let nem =
@@ -275,7 +258,7 @@ let config_json cfg =
   Json.Obj
     [
       ("seed", Json.Int cfg.seed);
-      ("algo", Json.Str (Live_bench.algo_name cfg.algo));
+      ("algo", Json.Str (Algo.name cfg.algo));
       ("writers", Json.Int cfg.writers);
       ("readers", Json.Int cfg.readers);
       ("f", Json.Int cfg.f);
@@ -306,12 +289,12 @@ let config_of_json j =
   let* seed = int "seed" in
   let* algo_s = str "algo" in
   let* algo =
-    match Live_bench.algo_of_name algo_s with
+    match Algo.of_name algo_s with
     | Some a -> Ok a
     | None ->
         Error
           (Fmt.str "config: unknown algo %S; valid: %s" algo_s
-             (String.concat ", " Live_bench.algo_names))
+             (String.concat ", " (List.map Algo.name Algo.all)))
   in
   let* writers = int "writers" in
   let* readers = int "readers" in
@@ -391,7 +374,7 @@ let outcome_json o =
 let outcome_pp ppf o =
   Fmt.pf ppf "seed=%d %s: %s (%d steps, %d branch points, %.3fs virtual%s)"
     o.cfg.seed
-    (Live_bench.algo_name o.cfg.algo)
+    (Algo.name o.cfg.algo)
     (if passed o then "PASS" else "FAIL")
     o.report.Sched.steps
     (Array.length o.report.Sched.choices)

@@ -20,7 +20,7 @@ open Regemu_chaos
 
 type config = {
   seed : int;  (** drives the schedule PRNG and every transport lane *)
-  algo : Live_bench.algo;
+  algo : Algo.t;
   writers : int;
   readers : int;
   f : int;

@@ -2,7 +2,7 @@ open Regemu_live
 module Json = Regemu_obs.Json
 
 type spec = {
-  algo : Live_bench.algo;
+  algo : Algo.t;
   n : int;
   f : int;
   keys : int;
@@ -19,7 +19,7 @@ type spec = {
 
 let default_spec =
   {
-    algo = Live_bench.Abd;
+    algo = Algo.Abd;
     n = 7;
     f = 1;
     keys = 100_000;
@@ -36,7 +36,7 @@ let default_spec =
 
 let smoke_spec =
   {
-    algo = Live_bench.Abd;
+    algo = Algo.Abd;
     n = 5;
     f = 1;
     keys = 128;
@@ -139,11 +139,11 @@ let run ?(quiet = true) ?(sink = Sink.none) spec =
   (* the keyspace's per-key quorum ops are the keyed ABD construction;
      other live algorithms have no keyed form (yet), so anything else
      is a spec error, not a silent fallback *)
-  if spec.algo <> Live_bench.Abd then
+  if spec.algo <> Algo.Abd then
     invalid_arg
       (Fmt.str "Kbench: the keyspace runs per-key %s quorums only (got %s)"
-         (Live_bench.algo_name Live_bench.Abd)
-         (Live_bench.algo_name spec.algo));
+         (Algo.name Algo.Abd)
+         (Algo.name spec.algo));
   { spec; skews = List.map (run_skew ~quiet ~sink spec) spec.zipfs }
 
 let schema = "regemu-keyspace/1"
@@ -151,7 +151,7 @@ let schema = "regemu-keyspace/1"
 let spec_json s =
   Json.Obj
     [
-      ("algo", Json.Str (Live_bench.algo_name s.algo));
+      ("algo", Json.Str (Algo.name s.algo));
       ("n", Json.Int s.n);
       ("f", Json.Int s.f);
       ("keys", Json.Int s.keys);
@@ -214,7 +214,7 @@ let validate_keyspace_json doc =
             match
               Option.bind
                 (Option.bind (Json.member "algo" s) Json.to_str_opt)
-                Live_bench.algo_of_name
+                Algo.of_name
             with
             | Some _ -> Ok ()
             | None -> err "spec: missing or unknown algo")

@@ -8,7 +8,7 @@
     the measured form of the bounded-memory claim. *)
 
 type spec = {
-  algo : Regemu_live.Live_bench.algo;
+  algo : Regemu_live.Algo.t;
       (** which emulation runs the per-key quorums; only [Abd] has a
           keyed form — {!run} rejects anything else *)
   n : int;

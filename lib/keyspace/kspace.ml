@@ -51,40 +51,23 @@ let worker_of t cl =
 
 let worker_client w = w.cl
 
-(* one per-key quorum round, the keyed twin of Abd_live.quorum_round:
-   contact the key's replicas (all of them, or a health-biased hedged
-   subset when the cluster has a hedge config), await f+1 replies.
-   [rpc] retransmits lost requests and dedupes replies per rid, so
-   keyed rounds survive drops exactly like single-register rounds. *)
-let quorum_round t w ~key ~request ~fold ~init =
-  let replicas = Placement.replicas t.placement key in
-  let quorum = t.f + 1 in
-  let count = ref 0 in
-  let acc = ref init in
-  Cluster.locked w.cl (fun () ->
-      Cluster.rpc_quorum t.cluster ~src:w.cl ~quorum ~make:request
-        ~handler:(fun reply ->
-          acc := fold !acc reply;
-          incr count)
-        replicas);
-  Cluster.await t.cluster w.cl ~need:(replicas, quorum) (fun () ->
-      !count >= quorum);
-  Cluster.locked w.cl (fun () -> !acc)
-
+(* per-key quorum rounds over the key's replicas (all of them, or a
+   health-biased hedged subset when the cluster has a hedge config) *)
 let query_max t w ~key =
-  quorum_round t w ~key
-    ~request:(fun rid -> Proto.Kquery { rid; key })
+  Cluster.quorum_round t.cluster w.cl ~quorum:(t.f + 1)
+    ~make:(fun rid -> Proto.Kquery { rid; key })
     ~init:Value.v0
     ~fold:(fun best reply ->
       match reply with
       | Proto.Kquery_reply { stored; _ } -> Value.max best stored
       | _ -> best)
+    (Placement.replicas t.placement key)
 
 let update t w ~key ts_val =
-  ignore
-    (quorum_round t w ~key
-       ~request:(fun rid -> Proto.Kupdate { rid; key; proposed = ts_val })
-       ~init:() ~fold:(fun () _ -> ()))
+  Cluster.quorum_round t.cluster w.cl ~quorum:(t.f + 1)
+    ~make:(fun rid -> Proto.Kupdate { rid; key; proposed = ts_val })
+    ~init:() ~fold:(fun () _ -> ())
+    (Placement.replicas t.placement key)
 
 (* record the op in the klog; an Unavailable/Timeout escape aborts the
    cell (its effect may still land — the checker breaks the key) *)

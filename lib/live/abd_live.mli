@@ -1,12 +1,6 @@
-(** Multi-writer ABD over a live {!Cluster} — the same quorum protocol
-    as {!Regemu_netsim.Abd_net}, with blocking awaits in place of
-    simulator fibers.
-
-    A write queries [2f+1] servers for the largest timestamped value,
-    waits for [f+1] replies, then updates the servers with a larger
-    timestamp and waits for [f+1] acks.  A read performs the query
-    round and, with [write_back_reads], also the update round (the
-    atomic variant).  Wait-free with at most [f] crashed servers. *)
+(** Multi-writer ABD ({!Regemu_netsim.Abd}) over a live {!Cluster},
+    with blocking awaits in place of simulator fibers.  Wait-free with
+    at most [f] crashed servers. *)
 
 open Regemu_objects
 

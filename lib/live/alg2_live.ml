@@ -1,202 +1,3 @@
-open Regemu_bounds
-open Regemu_objects
-open Regemu_netsim
+include Regemu_netsim.Alg2.Make (Cluster)
 
-type cell = { server : int; reg : int }
-
-(* per-writer covering-discipline slot over its register-cell set; all
-   fields are touched only under the owning client's mutex *)
-type slot = {
-  client : Cluster.client;
-  rset : cell array;
-  mutable ts_val : Value.t;
-  mutable acked : int list;  (* rset indexes acknowledged for ts_val *)
-  outstanding : (int, Value.t) Hashtbl.t;  (* rset index -> value in flight *)
-}
-
-type t = {
-  cluster : Cluster.t;
-  params : Params.t;
-  naive : bool;
-  cells : cell list;
-  by_server : cell list array;
-  slots : (int * slot) list;  (* writer client id -> slot *)
-}
-
-let cells t = List.length t.cells
-
-let distribute cluster (p : Params.t) =
-  (* the Section 3.3 layout: set i's register j on server (i+j) mod n *)
-  let sizes = Formulas.set_sizes p in
-  let by_server = Array.make p.n [] in
-  let sets =
-    List.mapi
-      (fun i size ->
-        Array.init size (fun j ->
-            let server = (i + j) mod p.n in
-            let reg = Cluster.alloc_reg cluster ~server in
-            let c = { server; reg } in
-            by_server.(server) <- by_server.(server) @ [ c ];
-            c))
-      sizes
-  in
-  (sets, by_server)
-
-let naive_cells cluster (p : Params.t) =
-  let by_server = Array.make p.n [] in
-  let cells =
-    List.init ((2 * p.f) + 1) (fun i ->
-        let reg = Cluster.alloc_reg cluster ~server:i in
-        let c = { server = i; reg } in
-        by_server.(i) <- [ c ];
-        c)
-  in
-  (cells, by_server)
-
-let create cluster (p : Params.t) ?(naive = false) ~writers () =
-  if List.length writers <> p.k then
-    invalid_arg "Alg2_live.create: writer count mismatch";
-  if Cluster.num_servers cluster <> p.n then
-    invalid_arg "Alg2_live.create: server count mismatch";
-  let mk_slot rset client =
-    {
-      client;
-      rset;
-      ts_val = Value.with_ts 0 Value.v0;
-      acked = [];
-      outstanding = Hashtbl.create 8;
-    }
-  in
-  if naive then begin
-    let cells, by_server = naive_cells cluster p in
-    let rset = Array.of_list cells in
-    let slots =
-      List.map
-        (fun c -> (Id.Client.to_int (Cluster.client_id c), mk_slot rset c))
-        writers
-    in
-    { cluster; params = p; naive; cells; by_server; slots }
-  end
-  else begin
-    let sets, by_server = distribute cluster p in
-    let z = Formulas.z p in
-    let slots =
-      List.mapi
-        (fun i c ->
-          ( Id.Client.to_int (Cluster.client_id c),
-            mk_slot (List.nth sets (i / z)) c ))
-        writers
-    in
-    {
-      cluster;
-      params = p;
-      naive;
-      cells = List.concat_map Array.to_list sets;
-      by_server;
-      slots;
-    }
-  end
-
-let slot_of t c what =
-  match List.assoc_opt (Id.Client.to_int (Cluster.client_id c)) t.slots with
-  | Some s -> s
-  | None -> invalid_arg (Fmt.str "Alg2_live.%s: not a registered writer" what)
-
-(* send the slot's current value to rset index [i]; register the
-   covering-discipline acknowledgement handler.  Caller holds the
-   client mutex (reply handlers do by construction).  The request is
-   [sticky]: its acknowledgement matters across operations, so it is
-   retransmitted until acked even if the submitting operation has
-   long returned. *)
-let rec send_current t slot i =
-  let cell = slot.rset.(i) in
-  let v = slot.ts_val in
-  Hashtbl.replace slot.outstanding i v;
-  Cluster.rpc t.cluster ~src:slot.client ~sticky:true cell.server
-    ~make:(fun rid -> Proto.Reg_write { rid; reg = cell.reg; proposed = v })
-    ~handler:(fun _ ->
-      match Hashtbl.find_opt slot.outstanding i with
-      | None -> ()  (* naive mode: a superseded acknowledgement *)
-      | Some sent ->
-          Hashtbl.remove slot.outstanding i;
-          if Value.equal sent slot.ts_val then begin
-            if not (List.mem i slot.acked) then slot.acked <- i :: slot.acked
-          end
-          else if not t.naive then
-            (* a stale acknowledgement finally arrived: the cell now
-               holds an old value; immediately re-send the current one *)
-            send_current t slot i)
-
-let submit t slot v ~quorum =
-  Cluster.locked slot.client (fun () ->
-      slot.ts_val <- v;
-      slot.acked <- [];
-      Array.iteri
-        (fun i _ ->
-          if t.naive || not (Hashtbl.mem slot.outstanding i) then
-            send_current t slot i)
-        slot.rset);
-  (* the quorum counts acked cells, so the watchdog's server list
-     carries one entry per cell of the register set *)
-  let cell_servers =
-    Array.to_list (Array.map (fun c -> c.server) slot.rset)
-  in
-  Cluster.await t.cluster slot.client ~need:(cell_servers, quorum) (fun () ->
-      List.length slot.acked >= quorum)
-
-(* read every cell of [n - f] servers, return the maximum *)
-let collect t cl =
-  let scans = ref 0 in
-  let best = ref Value.v0 in
-  (* servers holding no cell count as scanned for free; the watchdog
-     needs the rest, one entry per server that must answer *)
-  let auto =
-    Array.fold_left
-      (fun a cells -> if cells = [] then a + 1 else a)
-      0 t.by_server
-  in
-  let busy_servers =
-    List.filteri
-      (fun s _ -> t.by_server.(s) <> [])
-      (List.init t.params.Params.n Fun.id)
-  in
-  Cluster.locked cl (fun () ->
-      Array.iter
-        (fun cells ->
-          match cells with
-          | [] -> incr scans
-          | cells ->
-              let remaining = ref (List.length cells) in
-              List.iter
-                (fun cell ->
-                  Cluster.rpc t.cluster ~src:cl cell.server
-                    ~make:(fun rid -> Proto.Reg_read { rid; reg = cell.reg })
-                    ~handler:(fun reply ->
-                      (match reply with
-                      | Proto.Reg_read_reply { stored; _ } ->
-                          best := Value.max !best stored
-                      | _ -> ());
-                      decr remaining;
-                      if !remaining = 0 then incr scans))
-                cells)
-        t.by_server);
-  Cluster.await t.cluster cl
-    ~need:(busy_servers, max 0 (t.params.Params.n - t.params.Params.f - auto))
-    (fun () -> !scans >= t.params.Params.n - t.params.Params.f);
-  Cluster.locked cl (fun () -> !best)
-
-let write t c v =
-  let slot = slot_of t c "write" in
-  ignore
-    (Cluster.invoke t.cluster c (Regemu_sim.Trace.H_write v) (fun () ->
-         let latest = collect t c in
-         let quorum =
-           if t.naive then t.params.Params.f + 1
-           else Array.length slot.rset - t.params.Params.f
-         in
-         submit t slot (Value.with_ts (Value.ts latest + 1) v) ~quorum;
-         Value.Unit))
-
-let read t c =
-  Cluster.invoke t.cluster c Regemu_sim.Trace.H_read (fun () ->
-      Value.payload (collect t c))
+let write t c v = ignore (write t c v)

@@ -1,15 +1,8 @@
-(** The paper's Algorithm 2 (space-optimal register-based emulation)
-    over a live {!Cluster} — the same protocol as
-    {!Regemu_netsim.Alg2_net}, with blocking awaits in place of
-    simulator fibers.
-
-    Register cells are laid out by the Section 3.3 construction (set
-    [i]'s register [j] on server [(i+j) mod n]); each writer owns a
-    slot over its register set and follows the covering discipline: a
-    stale acknowledgement (the cell now holds an old value) triggers an
-    immediate re-send of the current value.  Reads collect every cell
-    of [n-f] servers and return the maximum.  WS-Regular, wait-free
-    with at most [f] crashed servers. *)
+(** The paper's Algorithm 2 ({!Regemu_netsim.Alg2}) over a live
+    {!Cluster}, with blocking awaits in place of simulator fibers.  The
+    covering writes are sticky RPCs: retransmitted until acknowledged,
+    even after the operation that issued them has returned.
+    WS-Regular, wait-free with at most [f] crashed servers. *)
 
 open Regemu_bounds
 open Regemu_objects

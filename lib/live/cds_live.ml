@@ -1,88 +1,3 @@
-open Regemu_objects
-open Regemu_netsim
+include Regemu_netsim.Cds.Make (Cluster)
 
-(* Timestamps are [seq * ts_stride + slot], so [Value.max] over
-   timestamped values orders (seq, writer) lexicographically: no two
-   writers ever produce the same timestamp, and a writer's own
-   timestamps strictly increase (its collect sees its previous write's
-   quorum).  1024 writers per emulation is far beyond anything the
-   benches drive. *)
-let ts_stride = 1024
-
-type t = {
-  cluster : Cluster.t;
-  f : int;
-  replicas : int list;
-  slots : (int * int) list;  (* writer client id -> slot index *)
-}
-
-let create cluster ~f ~writers () =
-  let needed = (2 * f) + 1 in
-  if Cluster.num_servers cluster < needed then
-    invalid_arg
-      (Fmt.str "Cds_live.create: need at least %d servers, have %d" needed
-         (Cluster.num_servers cluster));
-  if List.length writers > ts_stride then
-    invalid_arg
-      (Fmt.str "Cds_live.create: at most %d writers supported" ts_stride);
-  let slots =
-    List.mapi
-      (fun i c -> (Id.Client.to_int (Cluster.client_id c), i))
-      writers
-  in
-  { cluster; f; replicas = List.init needed Fun.id; slots }
-
-let replicas t = List.length t.replicas
-let writer_slots t = List.length t.slots
-
-let slot_of t c =
-  match List.assoc_opt (Id.Client.to_int (Cluster.client_id c)) t.slots with
-  | Some s -> s
-  | None -> invalid_arg "Cds_live.write: not a registered writer"
-
-(* same quorum skeleton as [Abd_live]: fresh rid per server, await
-   [f+1] deduplicated replies, fold them *)
-let quorum_round t cl ~request ~fold ~init =
-  let quorum = t.f + 1 in
-  let count = ref 0 in
-  let acc = ref init in
-  Cluster.locked cl (fun () ->
-      Cluster.rpc_quorum t.cluster ~src:cl ~quorum ~make:request
-        ~handler:(fun reply ->
-          acc := fold !acc reply;
-          incr count)
-        t.replicas);
-  Cluster.await t.cluster cl
-    ~need:(t.replicas, quorum)
-    (fun () -> !count >= quorum);
-  Cluster.locked cl (fun () -> !acc)
-
-(* the collect phase: every resident slot of a quorum, folded to the
-   lexicographic maximum *)
-let collect t cl =
-  quorum_round t cl
-    ~request:(fun rid -> Proto.Cquery { rid })
-    ~init:Value.v0
-    ~fold:(fun best reply ->
-      match reply with
-      | Proto.Cquery_reply { slots; _ } ->
-          List.fold_left (fun b (_, v) -> Value.max b v) best slots
-      | _ -> best)
-
-let write t cl v =
-  let slot = slot_of t cl in
-  ignore
-    (Cluster.invoke t.cluster cl (Regemu_sim.Trace.H_write v) (fun () ->
-         let latest = collect t cl in
-         let seq = (Value.ts latest / ts_stride) + 1 in
-         let ts_val = Value.with_ts ((seq * ts_stride) + slot) v in
-         ignore
-           (quorum_round t cl
-              ~request:(fun rid -> Proto.Cwrite { rid; slot; proposed = ts_val })
-              ~init:()
-              ~fold:(fun () _ -> ()));
-         Value.Unit))
-
-let read t cl =
-  Cluster.invoke t.cluster cl Regemu_sim.Trace.H_read (fun () ->
-      Value.payload (collect t cl))
+let write t cl v = ignore (write t cl v)

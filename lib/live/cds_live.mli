@@ -1,23 +1,7 @@
-(** The Chockler–Dobre–Shraer–Spiegelman reliable multi-writer data
-    store (arXiv:1508.03762) over a live {!Cluster} — the third live
-    algorithm beside {!Abd_live} and {!Alg2_live}, at a different point
-    of the space/progress tradeoff.
-
-    Each of the [2f+1] replicas holds one base register {e per writer}
-    (a slot, allocated on first touch), together forming the paper's
-    layered [k]-writer max-register: a server applies write-max within
-    a slot, and a collect returns every resident slot.  A write
-    collects from a quorum of [f+1] to learn the largest timestamp,
-    then writes [(seq+1, v)] into {e its own} slot at a quorum; a read
-    collects from a quorum and returns the lexicographically largest
-    timestamped value.  Timestamps embed the writer's slot index, so
-    concurrent writers never tie.
-
-    Both sides are wait-free with at most [f] crashed servers, and no
-    covering discipline is needed — the price is [k] registers on
-    every replica ([(2f+1)k] total), against Algorithm 2's
-    [kf + ⌈k/z⌉(f+1)] total and ABD's [2f+1] (one max-register each,
-    but of unbounded domain). *)
+(** The CDS multi-writer data store ({!Regemu_netsim.Cds},
+    arXiv:1508.03762) over a live {!Cluster} — the third live algorithm
+    beside {!Abd_live} and {!Alg2_live}.  [k] registers on each of the
+    [2f+1] replicas; no covering discipline. *)
 
 open Regemu_objects
 

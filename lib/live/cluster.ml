@@ -96,6 +96,8 @@ type client = {
    (the metrics histogram adds the unbounded bucket itself) *)
 let backoff_edges_ms = [| 100; 250; 500; 1000; 2000; 4000 |]
 
+type call = Value.t
+
 type t = {
   cfg : config;
   sched : Sched_hook.t option;
@@ -768,6 +770,23 @@ let await t cl ?need pred =
       ~finally:(fun () -> Sink.span_end cl.crec ~cat:"op" "await")
       (fun () -> await_body t cl ?need pred)
   end
+
+(* one quorum round, shared by every quorum-based algorithm: issue
+   [make rid] to [replicas] (a broadcast, or a hedged subset — see
+   [rpc_quorum]), await [quorum] replies, fold them.  [rpc]
+   retransmits lost requests and dispatch is one-shot per rid, so a
+   reply counts toward the quorum once. *)
+let quorum_round t cl ~quorum ~make ~fold ~init replicas =
+  let count = ref 0 in
+  let acc = ref init in
+  locked cl (fun () ->
+      rpc_quorum t ~src:cl ~quorum ~make
+        ~handler:(fun reply ->
+          acc := fold !acc reply;
+          incr count)
+        replicas);
+  await t cl ~need:(replicas, quorum) (fun () -> !count >= quorum);
+  locked cl (fun () -> !acc)
 
 let exn_label = function
   | Unavailable _ -> "unavailable"

@@ -109,6 +109,11 @@ val unavailable_pp : unavailable Fmt.t
 type t
 type client
 
+(** What {!invoke} yields: the operation's result.  With {!quorum_round}
+    this makes the cluster a {!Regemu_netsim.Runtime.S}, the runtime
+    the message-passing algorithms are written against. *)
+type call = Value.t
+
 (** Raises [Invalid_argument] on a non-positive [n] or [op_timeout_s],
     or an invalid transport/retry configuration.  With [sched], every
     server loop and courier runs as a cooperative actor on the given
@@ -212,6 +217,21 @@ val rpc_quorum :
     Raises {!Timeout} after [op_timeout_s] as a last-resort backstop. *)
 val await : t -> client -> ?need:int list * int -> (unit -> bool) -> unit
 
+(** [quorum_round t cl ~quorum ~make ~fold ~init replicas] runs one
+    quorum round: {!rpc_quorum} under the client's mutex, {!await}
+    [quorum] replies with [need = (replicas, quorum)], and return the
+    fold of the replies that arrived.  Takes the mutex itself; the
+    caller must not hold it. *)
+val quorum_round :
+  t ->
+  client ->
+  quorum:int ->
+  make:(int -> Proto.payload) ->
+  fold:('a -> Proto.payload -> 'a) ->
+  init:'a ->
+  int list ->
+  'a
+
 (** {2 High-level operations}
 
     [invoke t cl hop body] records the operation in the cluster history
@@ -220,7 +240,7 @@ val await : t -> client -> ?need:int list * int -> (unit -> bool) -> unit
     retry-deadline clock.  If [body] escapes with {!Unavailable}, the
     ticket stays pending — sound for the checkers, which treat a
     pending operation as concurrent with everything after it. *)
-val invoke : t -> client -> Regemu_sim.Trace.hop -> (unit -> Value.t) -> Value.t
+val invoke : t -> client -> Regemu_sim.Trace.hop -> (unit -> Value.t) -> call
 
 (** Start the per-op retry-deadline clock {e without} taking a history
     ticket — for layers ([Regemu_keyspace]) that keep their own

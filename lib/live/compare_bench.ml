@@ -1,4 +1,3 @@
-open Regemu_bounds
 module Json = Regemu_obs.Json
 
 let schema = "regemu-compare/1"
@@ -19,22 +18,13 @@ let loads =
 
 let smoke_loads = [ { label = "k2-f1"; k = 2; readers = 2; f = 1; n = 5 } ]
 
-let algos = [ Live_bench.Abd; Live_bench.Alg2; Live_bench.Cds ]
-let algo_names = List.map Live_bench.algo_name algos
+let algos = [ Algo.Abd; Algo.Alg2; Algo.Cds ]
+let algo_names = List.map Algo.name algos
 
 (* the socket backend's stores live in child processes the sampler
    cannot see, so the committed comparison covers the two in-process
    fabrics *)
 let backends = [ Transport.Threads; Transport.Domains ]
-
-(* the paper-side prediction for the measured [space_cells_total]
-   column: what each construction commits to holding, cluster-wide *)
-let formula_cells_total ~algo l =
-  match algo with
-  | Live_bench.Abd | Live_bench.Abd_wb -> (2 * l.f) + 1
-  | Live_bench.Alg2 ->
-      Formulas.register_upper_bound (Params.make_exn ~k:l.k ~f:l.f ~n:l.n)
-  | Live_bench.Cds -> l.k * ((2 * l.f) + 1)
 
 let spec_of ~backend ~algo ~ops_per_client ~seed l =
   {
@@ -87,12 +77,12 @@ let row_pp ppf r =
   Fmt.pf ppf
     "%-10s %-7s %-6s f=%d n=%d k=%d: %7.0f ops/s p95=%.0fus space/server \
      %d cells %d B (total %d, formula %d)%s"
-    (Live_bench.algo_name s.Live_bench.algo)
+    (Algo.name s.Live_bench.algo)
     (Transport.backend_name s.Live_bench.backend)
     r.load.label s.Live_bench.f s.Live_bench.n s.Live_bench.k
     o.Live_bench.throughput (pct o 0.95) o.Live_bench.space_cells
     o.Live_bench.space_bytes o.Live_bench.space_cells_total
-    (formula_cells_total ~algo:s.Live_bench.algo r.load)
+    (Algo.cells s.Live_bench.algo ~k:s.k ~f:s.f ~n:s.n)
     (if Live_bench.clean o then "" else " DIRTY")
 
 let row_json r =
@@ -100,7 +90,7 @@ let row_json r =
   let s = o.Live_bench.spec in
   Json.Obj
     [
-      ("algo", Json.Str (Live_bench.algo_name s.Live_bench.algo));
+      ("algo", Json.Str (Algo.name s.Live_bench.algo));
       ("backend", Json.Str (Transport.backend_name s.Live_bench.backend));
       ("load", Json.Str r.load.label);
       ("writers", Json.Int s.Live_bench.k);
@@ -116,7 +106,7 @@ let row_json r =
       ("space_resident_bytes", Json.Int o.Live_bench.space_bytes);
       ("space_cells_total", Json.Int o.Live_bench.space_cells_total);
       ( "space_formula_cells_total",
-        Json.Int (formula_cells_total ~algo:s.Live_bench.algo r.load) );
+        Json.Int (Algo.cells s.Live_bench.algo ~k:s.k ~f:s.f ~n:s.n) );
       ( "ws_regular",
         Json.Str
           (Fmt.str "%a" Regemu_history.Ws_check.verdict_pp

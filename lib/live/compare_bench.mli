@@ -38,16 +38,12 @@ val smoke_loads : load list
 (** [Abd; Alg2; Cds] — one write-path per construction (the ABD
     write-back read variant occupies the same space as ABD and is
     left out). *)
-val algos : Live_bench.algo list
+val algos : Algo.t list
 
 (** [Threads; Domains].  The socket backend's stores live in child
     processes the space sampler cannot observe, so it is excluded
     from the comparison. *)
 val backends : Transport.backend list
-
-(** The predicted cluster-wide resident cell count for [algo] at a
-    load point (see the module header). *)
-val formula_cells_total : algo:Live_bench.algo -> load -> int
 
 (** The full matrix as [(load, spec)] pairs: every load × algorithm ×
     backend, backends adjacent per (load, algo) so

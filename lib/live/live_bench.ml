@@ -1,25 +1,7 @@
-open Regemu_bounds
 module Json = Regemu_obs.Json
 
-type algo = Abd | Abd_wb | Alg2 | Cds
-
-let algo_name = function
-  | Abd -> "abd"
-  | Abd_wb -> "abd-wb"
-  | Alg2 -> "algorithm2"
-  | Cds -> "cds"
-
-let algo_names = List.map algo_name [ Abd; Abd_wb; Alg2; Cds ]
-
-let algo_of_name = function
-  | "abd" -> Some Abd
-  | "abd-wb" -> Some Abd_wb
-  | "algorithm2" | "alg2" -> Some Alg2
-  | "cds" -> Some Cds
-  | _ -> None
-
 type spec = {
-  algo : algo;
+  algo : Algo.t;
   k : int;
   readers : int;
   f : int;
@@ -68,7 +50,7 @@ let outcome_pp ppf o =
     "%-10s %-7s %s k=%d readers=%d f=%d n=%d: %d ops in %.3fs (%.0f ops/s), \
      latency µs mean=%.0f %a; %d msgs (%d dup, %d delayed, %d dropped), %d \
      crashes / %d restarts, %d retries, %d unavailable; %a"
-    (algo_name o.spec.algo)
+    (Algo.name o.spec.algo)
     (Transport.backend_name o.spec.backend)
     (if o.spec.chaos then "chaos" else "quiet")
     o.spec.k o.spec.readers o.spec.f o.spec.n o.ops o.wall_s o.throughput
@@ -107,22 +89,7 @@ let run ?(sink = Sink.none) spec =
   in
   let writers = List.init spec.k (fun _ -> Cluster.new_client cluster) in
   let readers = List.init spec.readers (fun _ -> Cluster.new_client cluster) in
-  let write, read =
-    match spec.algo with
-    | Abd | Abd_wb ->
-        let abd =
-          Abd_live.create cluster ~f:spec.f
-            ~write_back_reads:(spec.algo = Abd_wb) ()
-        in
-        (Abd_live.write abd, Abd_live.read abd)
-    | Alg2 ->
-        let p = Params.make_exn ~k:spec.k ~f:spec.f ~n:spec.n in
-        let alg2 = Alg2_live.create cluster p ~writers () in
-        (Alg2_live.write alg2, Alg2_live.read alg2)
-    | Cds ->
-        let cds = Cds_live.create cluster ~f:spec.f ~writers () in
-        (Cds_live.write cds, Cds_live.read cds)
-  in
+  let write, read = Algo.start spec.algo cluster ~f:spec.f ~writers in
   Cluster.start cluster;
   (* the space axis: sample resident cells/bytes through the run and
      keep the maxima.  Sampling is unsynchronised (a gauge, not an
@@ -152,7 +119,7 @@ let run ?(sink = Sink.none) spec =
      for single-writer write-back runs *)
   let checker =
     Checker.spawn cluster ~interval_s:0.01
-      ~final_atomic:(spec.algo = Abd_wb && spec.k = 1)
+      ~final_atomic:(spec.algo = Algo.Abd_wb && spec.k = 1)
       ()
   in
   let injector =
@@ -260,7 +227,7 @@ let suite ?(ops_per_client = 150) ~seed () =
         (fun chaos ->
           { (default_spec ~algo ~chaos ~seed ()) with ops_per_client })
         [ false; true ])
-    [ Abd; Abd_wb; Alg2; Cds ]
+    Algo.all
 
 (* The socket smoke runs quiet: a killed child execs back with an empty
    store whatever the recovery mode, and ABD under quorum-visible
@@ -270,15 +237,15 @@ let smoke_suite ?(backend = Transport.Threads) () =
   let chaos = backend <> Transport.Socket in
   [
     {
-      (default_spec ~backend ~algo:Abd ~chaos ~seed:42 ()) with
+      (default_spec ~backend ~algo:Algo.Abd ~chaos ~seed:42 ()) with
       ops_per_client = 40;
     };
     {
-      (default_spec ~backend ~algo:Alg2 ~chaos ~seed:43 ()) with
+      (default_spec ~backend ~algo:Algo.Alg2 ~chaos ~seed:43 ()) with
       ops_per_client = 40;
     };
     {
-      (default_spec ~backend ~algo:Cds ~chaos ~seed:44 ()) with
+      (default_spec ~backend ~algo:Algo.Cds ~chaos ~seed:44 ()) with
       ops_per_client = 40;
     };
   ]
@@ -286,7 +253,7 @@ let smoke_suite ?(backend = Transport.Threads) () =
 let spec_json s =
   Json.Obj
     [
-      ("algo", Json.Str (algo_name s.algo));
+      ("algo", Json.Str (Algo.name s.algo));
       ("writers", Json.Int s.k);
       ("readers", Json.Int s.readers);
       ("f", Json.Int s.f);
@@ -378,7 +345,7 @@ let saturate_specs ?(backend = Transport.Threads) ?(clients = saturate_clients)
         (fun c ->
           saturate_spec ~backend ~algo ~clients:c ~ops_per_client ~seed ())
         clients)
-    [ Abd; Alg2; Cds ]
+    [ Algo.Abd; Algo.Alg2; Algo.Cds ]
 
 (* The head-to-head sweep: the same saturation point on every backend,
    backends adjacent in the run order (and the whole list round-robined
@@ -395,7 +362,8 @@ let saturate_ab_specs ?(clients = saturate_ab_clients)
     (fun c ->
       List.map
         (fun backend ->
-          saturate_spec ~backend ~algo:Abd ~clients:c ~ops_per_client ~seed ())
+          saturate_spec ~backend ~algo:Algo.Abd ~clients:c ~ops_per_client
+            ~seed ())
         saturate_ab_backends)
     clients
 
@@ -409,9 +377,9 @@ let saturate_ab_specs ?(clients = saturate_ab_clients)
    (algo, clients, ops/s.) *)
 let seed_baseline_ops_s =
   [
-    (Abd, 2, 14104.); (Abd, 4, 23420.); (Abd, 8, 28595.); (Abd, 16, 30275.);
-    (Alg2, 2, 14220.); (Alg2, 4, 20270.); (Alg2, 8, 29999.);
-    (Alg2, 16, 31118.);
+    (Algo.Abd, 2, 14104.); (Algo.Abd, 4, 23420.); (Algo.Abd, 8, 28595.);
+    (Algo.Abd, 16, 30275.); (Algo.Alg2, 2, 14220.); (Algo.Alg2, 4, 20270.);
+    (Algo.Alg2, 8, 29999.); (Algo.Alg2, 16, 31118.);
   ]
 
 let clients_of_spec s = s.k + s.readers
@@ -446,7 +414,7 @@ let saturate_json outcomes =
       ([
          ( "name",
            Json.Str
-             (Fmt.str "saturate/%s/%s/clients=%d" (algo_name o.spec.algo)
+             (Fmt.str "saturate/%s/%s/clients=%d" (Algo.name o.spec.algo)
                 (Transport.backend_name o.spec.backend)
                 clients) );
          ("measure", Json.Str "throughput");

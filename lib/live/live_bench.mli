@@ -10,18 +10,8 @@
     {!Regemu_sim.Stats.percentiles}), and the resident-space maxima
     sampled from the server stores through the run. *)
 
-type algo = Abd | Abd_wb | Alg2 | Cds
-
-val algo_name : algo -> string
-
-(** Every valid {!algo_name}, in declaration order — the list CLI
-    errors quote. *)
-val algo_names : string list
-
-val algo_of_name : string -> algo option
-
 type spec = {
-  algo : algo;
+  algo : Algo.t;
   k : int;  (** writer threads *)
   readers : int;
   f : int;
@@ -37,7 +27,7 @@ type spec = {
 (** [k + readers = 4] client threads, [n = 2f+1] servers by default;
     [backend] defaults to [Threads]. *)
 val default_spec :
-  ?backend:Transport.backend -> algo:algo -> chaos:bool -> seed:int -> unit -> spec
+  ?backend:Transport.backend -> algo:Algo.t -> chaos:bool -> seed:int -> unit -> spec
 
 type outcome = {
   spec : spec;
@@ -116,7 +106,7 @@ val to_json : outcome list -> Regemu_obs.Json.t
 (** One saturation point.  Raises [Invalid_argument] if [clients < 2]. *)
 val saturate_spec :
   ?backend:Transport.backend ->
-  algo:algo ->
+  algo:Algo.t ->
   clients:int ->
   ops_per_client:int ->
   seed:int ->
@@ -153,7 +143,7 @@ val saturate_ab_specs :
 
 (** Pre-sharding throughput on the reference machine, [(algo, clients,
     ops/s)] — the "before" column baked into the emitted document. *)
-val seed_baseline_ops_s : (algo * int * float) list
+val seed_baseline_ops_s : (Algo.t * int * float) list
 
 (** The [BENCH_live.json] document in the [regemu-bench/2] schema:
     one benchmark entry per outcome ([ns_per_run] = ns per completed

@@ -1,7 +1,7 @@
 module Json = Regemu_obs.Json
 
 type spec = {
-  algo : Live_bench.algo;
+  algo : Algo.t;
   readers : int;
   f : int;
   n : int;
@@ -14,7 +14,7 @@ type spec = {
   seed : int;
 }
 
-let default_spec ?(backend = Transport.Threads) ?(algo = Live_bench.Abd) ~seed
+let default_spec ?(backend = Transport.Threads) ?(algo = Algo.Abd) ~seed
     () =
   {
     algo;
@@ -119,22 +119,7 @@ let run_arm ?(sink = Sink.none) s arm =
   in
   let writers = [ Cluster.new_client cluster ] in
   let readers = List.init s.readers (fun _ -> Cluster.new_client cluster) in
-  let write, read =
-    match s.algo with
-    | Live_bench.Abd | Live_bench.Abd_wb ->
-        let abd =
-          Abd_live.create cluster ~f:s.f
-            ~write_back_reads:(s.algo = Live_bench.Abd_wb) ()
-        in
-        (Abd_live.write abd, Abd_live.read abd)
-    | Live_bench.Alg2 ->
-        let p = Regemu_bounds.Params.make_exn ~k:1 ~f:s.f ~n:s.n in
-        let alg2 = Alg2_live.create cluster p ~writers () in
-        (Alg2_live.write alg2, Alg2_live.read alg2)
-    | Live_bench.Cds ->
-        let cds = Cds_live.create cluster ~f:s.f ~writers () in
-        (Cds_live.write cds, Cds_live.read cds)
-  in
+  let write, read = Algo.start s.algo cluster ~f:s.f ~writers in
   Cluster.start cluster;
   (* the gray injection: a uniform per-envelope delay on every link
      models the network floor, and one server gets the 10x version *)
@@ -261,7 +246,7 @@ let to_json o =
   Json.Obj
     [
       ("schema", Json.Str "regemu-tail/1");
-      ("algo", Json.Str (Live_bench.algo_name o.spec.algo));
+      ("algo", Json.Str (Algo.name o.spec.algo));
       ("seed", Json.Int o.spec.seed);
       ("n", Json.Int o.spec.n);
       ("f", Json.Int o.spec.f);

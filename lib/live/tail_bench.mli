@@ -1,5 +1,5 @@
 (** The tail-latency A/B bench: what a single 10x gray straggler does
-    to operation latency (ABD by default, any {!Live_bench.algo} via
+    to operation latency (ABD by default, any {!Algo.t} via
     the [algo] field), and how much of it hedged quorum rounds claw
     back.
 
@@ -19,7 +19,7 @@
     written to the [regemu-tail/1] document. *)
 
 type spec = {
-  algo : Live_bench.algo;  (** which emulation runs the arms *)
+  algo : Algo.t;  (** which emulation runs the arms *)
   readers : int;  (** reader clients; always exactly one writer *)
   f : int;
   n : int;
@@ -36,7 +36,7 @@ type spec = {
     server 2; [algo] defaults to [Abd]. *)
 val default_spec :
   ?backend:Transport.backend ->
-  ?algo:Live_bench.algo ->
+  ?algo:Algo.t ->
   seed:int ->
   unit ->
   spec
@@ -44,7 +44,7 @@ val default_spec :
 (** [default_spec] cut to 25 ops/client for CI. *)
 val smoke_spec :
   ?backend:Transport.backend ->
-  ?algo:Live_bench.algo ->
+  ?algo:Algo.t ->
   seed:int ->
   unit ->
   spec

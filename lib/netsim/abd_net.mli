@@ -1,22 +1,12 @@
-(** Multi-writer ABD over message passing — the original protocol the
-    paper's [2f+1] upper bounds descend from (its reference [5],
-    multi-writer form per [22, 34, 29]).
-
-    Runs on {!Net} with [2f+1] server processes, each holding one
-    stored value with write-max update semantics.  A write queries a
-    majority for the highest timestamp, then updates a majority with a
-    fresh higher one; a read queries a majority and (in the
-    {!val-atomic} variant) writes the value back to a majority before
-    returning.
-
-    Correctness obligations mirror the shared-memory emulations and are
-    checked in the test suite with the same history checkers:
-    WS-Regularity (and atomicity for the write-back variant), and
-    wait-freedom while at most [f] servers crash — under arbitrary
-    message reordering, since the network delivers in any order. *)
+(** Multi-writer ABD ({!Abd}) on the simulated network: [2f+1] server
+    processes of a {!Net}, each holding one stored value with write-max
+    update semantics.  The test suite checks its runs with the same
+    history checkers as the shared-memory emulations: WS-Regularity
+    (and atomicity for the write-back variant), and wait-freedom while
+    at most [f] servers crash — under arbitrary message reordering,
+    since the network delivers in any order. *)
 
 open Regemu_objects
-
 
 type t
 

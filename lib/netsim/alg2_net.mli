@@ -1,23 +1,7 @@
-(** Algorithm 2 over the wire: the paper's register-based construction
-    run against network-attached register cells.
-
-    Servers expose only read/write cells ({!Net.alloc_reg} /
-    [Reg_read] / [Reg_write]); a delayed [Reg_write] {e request} is a
-    covering write travelling the network — whenever it is finally
-    delivered it overwrites the cell, exactly the erasure the paper's
-    lower bound exploits.  The construction is therefore the same as
-    the shared-memory Algorithm 2: the Section 3.3 layout sized by
-    [kf + ceil(k/z)(f+1)], per-writer covering discipline (never two of
-    a writer's requests outstanding on one cell; re-send the current
-    value when a stale acknowledgement finally arrives), quorum
-    [|R_j| - f] per write, and collects over all cells of [n - f]
-    servers.
-
-    An optional [naive] mode drops the covering discipline and uses one
-    cell per server ([2f+1] total) — the wire-level strawman that the
-    deterministic schedule in the test suite breaks, showing the
-    Figure 2 phenomenon needs nothing more exotic than a slow
-    datagram. *)
+(** Algorithm 2 ({!Alg2}) on the simulated network: the paper's
+    register-based construction run against {!Net}'s network-attached
+    register cells ({!Net.alloc_reg} / [Reg_read] / [Reg_write]), where
+    a delayed [Reg_write] request is a covering write in flight. *)
 
 open Regemu_bounds
 open Regemu_objects

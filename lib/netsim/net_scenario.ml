@@ -30,6 +30,17 @@ let alg2 =
         (Alg2_net.write t, Alg2_net.read t));
   }
 
+module Cds_net = Cds.Make (Runtime.Net)
+
+let cds =
+  {
+    name = "cds-net";
+    make =
+      (fun net (p : Params.t) ~writers ->
+        let t = Cds_net.create net ~f:p.f ~writers () in
+        (Cds_net.write t, Cds_net.read t));
+  }
+
 type result = { net : Net.t; history : History.t; messages_delivered : int }
 type error = { stage : string }
 

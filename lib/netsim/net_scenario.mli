@@ -1,6 +1,6 @@
 (** Workload scenarios over the message-passing substrate — the
     counterpart of {!Regemu_workload.Scenario} for wire protocols
-    ({!Abd_net}, {!Alg2_net}), with the network-level fault injections:
+    ({!Abd_net}, {!Alg2_net}, {!cds}), with the network-level fault injections:
     server crashes, message reordering (always on — delivery order is
     the environment's choice), and message duplication. *)
 
@@ -25,6 +25,10 @@ val abd : write_back:bool -> protocol
 
 (** Algorithm 2 over network-attached register cells. *)
 val alg2 : protocol
+
+(** The CDS multi-writer store ({!Cds}) over the servers' per-writer
+    slots. *)
+val cds : protocol
 
 type result = {
   net : Net.t;

@@ -355,7 +355,7 @@ let domains_tests =
 let run_spec backend ~chaos ~seed =
   Live_bench.run
     {
-      (Live_bench.default_spec ~backend ~algo:Live_bench.Abd ~chaos ~seed ())
+      (Live_bench.default_spec ~backend ~algo:Algo.Abd ~chaos ~seed ())
       with k = 1; readers = 2; ops_per_client = 40;
     }
 

@@ -226,7 +226,7 @@ let dst_tests =
         let cfg =
           {
             (Regemu_dst.Dst.default_config ~seed:41) with
-            Regemu_dst.Dst.algo = Live_bench.Cds;
+            Regemu_dst.Dst.algo = Algo.Cds;
             writers = 2;
           }
         in
@@ -239,7 +239,7 @@ let dst_tests =
         let cfg seed =
           {
             (Regemu_dst.Dst.default_config ~seed) with
-            Regemu_dst.Dst.algo = Live_bench.Cds;
+            Regemu_dst.Dst.algo = Algo.Cds;
           }
         in
         Alcotest.(check bool) "digests differ" true
@@ -290,15 +290,13 @@ let expect_invalid what = function
 let compare_tests =
   [
     test "formula column matches the paper-side bounds" (fun () ->
-        let l = { Compare_bench.label = "x"; k = 6; readers = 1; f = 2; n = 7 } in
-        Alcotest.(check int) "ABD: 2f+1" 5
-          (Compare_bench.formula_cells_total ~algo:Live_bench.Abd l);
-        Alcotest.(check int) "CDS: k(2f+1)" 30
-          (Compare_bench.formula_cells_total ~algo:Live_bench.Cds l);
+        let cells algo = Algo.cells algo ~k:6 ~f:2 ~n:7 in
+        Alcotest.(check int) "ABD: 2f+1" 5 (cells Algo.Abd);
+        Alcotest.(check int) "CDS: k(2f+1)" 30 (cells Algo.Cds);
         Alcotest.(check int) "Alg2: the register_upper_bound formula"
           (Regemu_bounds.Formulas.register_upper_bound
              (Regemu_bounds.Params.make_exn ~k:6 ~f:2 ~n:7))
-          (Compare_bench.formula_cells_total ~algo:Live_bench.Alg2 l));
+          (cells Algo.Alg2));
     test "a fully covered document validates" (fun () ->
         match Compare_bench.validate_compare_json (doc full_coverage) with
         | Ok () -> ()

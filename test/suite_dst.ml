@@ -241,12 +241,12 @@ let determinism_tests =
             let cfg = { (Dst.default_config ~seed:25) with Dst.algo } in
             let o = Dst.run cfg in
             Alcotest.(check bool)
-              (Fmt.str "%s clean" (Regemu_live.Live_bench.algo_name algo))
+              (Fmt.str "%s clean" (Regemu_live.Algo.name algo))
               true (Dst.passed o))
           [
-            Regemu_live.Live_bench.Abd;
-            Regemu_live.Live_bench.Abd_wb;
-            Regemu_live.Live_bench.Alg2;
+            Regemu_live.Algo.Abd;
+            Regemu_live.Algo.Abd_wb;
+            Regemu_live.Algo.Alg2;
           ]);
   ]
 
@@ -518,7 +518,7 @@ let replay_file_tests =
         let cfg =
           {
             (Dst.default_config ~seed:77) with
-            Dst.algo = Regemu_live.Live_bench.Alg2;
+            Dst.algo = Regemu_live.Algo.Alg2;
             writers = 1;
             readers = 3;
             ops_per_client = 5;

@@ -647,7 +647,7 @@ let cluster_tests =
         let o =
           Live_bench.run
             {
-              (Live_bench.default_spec ~algo:Live_bench.Abd_wb ~chaos:false
+              (Live_bench.default_spec ~algo:Algo.Abd_wb ~chaos:false
                  ~seed:1 ())
               with k = 1; readers = 2; ops_per_client = 60;
             }
@@ -659,7 +659,7 @@ let cluster_tests =
         let o =
           Live_bench.run
             {
-              (Live_bench.default_spec ~algo:Live_bench.Alg2 ~chaos:false
+              (Live_bench.default_spec ~algo:Algo.Alg2 ~chaos:false
                  ~seed:2 ())
               with readers = 2; ops_per_client = 50;
             }
@@ -700,7 +700,7 @@ let cluster_tests =
         let o =
           Live_bench.run
             {
-              (Live_bench.default_spec ~algo:Live_bench.Abd ~chaos:true ~seed:4 ())
+              (Live_bench.default_spec ~algo:Algo.Abd ~chaos:true ~seed:4 ())
               with readers = 2; ops_per_client = 40;
             }
         in
@@ -715,7 +715,7 @@ let bench_tests =
     test "saturate point is clean and its document passes the schema check"
       (fun () ->
         let spec =
-          Live_bench.saturate_spec ~algo:Live_bench.Abd ~clients:2
+          Live_bench.saturate_spec ~algo:Algo.Abd ~clients:2
             ~ops_per_client:10 ~seed:5 ()
         in
         let o = Live_bench.run_median ~reps:2 spec in
@@ -774,11 +774,36 @@ let bench_tests =
     test "saturate_spec rejects fewer than two clients" (fun () ->
         Alcotest.(check bool) "raises" true
           (match
-             Live_bench.saturate_spec ~algo:Live_bench.Abd ~clients:1
+             Live_bench.saturate_spec ~algo:Algo.Abd ~clients:1
                ~ops_per_client:10 ~seed:1 ()
            with
           | exception Invalid_argument _ -> true
           | _ -> false));
+  ]
+
+(* --- the algorithm registry ---------------------------------------------- *)
+
+let registry_tests =
+  let algo = Alcotest.testable (Fmt.of_to_string Algo.name) ( = ) in
+  [
+    test "every canonical name round-trips" (fun () ->
+        List.iter
+          (fun a ->
+            Alcotest.(check (option algo)) (Algo.name a) (Some a)
+              (Algo.of_name (Algo.name a)))
+          Algo.all);
+    test "shared-memory aliases map to their live protocol" (fun () ->
+        (* --fuzz-cg resolves --algo through the registry: the atomic
+           emulation must select the write-back ABD, not plain ABD *)
+        Alcotest.(check (option algo)) "abd-max" (Some Algo.Abd)
+          (Algo.of_name "abd-max");
+        Alcotest.(check (option algo)) "abd-max-atomic" (Some Algo.Abd_wb)
+          (Algo.of_name "abd-max-atomic");
+        Alcotest.(check (option algo)) "alg2" (Some Algo.Alg2)
+          (Algo.of_name "alg2");
+        Alcotest.(check (option algo)) "cds" (Some Algo.Cds)
+          (Algo.of_name "cds");
+        Alcotest.(check (option algo)) "unknown" None (Algo.of_name "paxos"));
   ]
 
 let suites =
@@ -789,4 +814,5 @@ let suites =
     ("live.histlog", histlog_tests @ histlog_property_tests);
     ("live.cluster", cluster_tests);
     ("live.bench", bench_tests);
+    ("live.registry", registry_tests);
   ]

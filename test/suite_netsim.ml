@@ -379,6 +379,41 @@ let alg2_scenario_tests =
            | Ok r -> Ws_check.is_ws_regular r.history));
   ]
 
+(* CDS on the simulated network: the writers take turns, so every
+   history is write-sequential and the WS-Regularity verdict must be
+   [Holds], never [Vacuous] *)
+let cds_holds (r : Net_scenario.result) =
+  Ws_check.verdict_equal (Ws_check.check_ws_regular r.history) Ws_check.Holds
+
+let cds_scenario_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:
+           "wire-level CDS is WS-Regular in net scenarios (crashes + \
+            duplication)"
+         ~count:40 arb_seed
+         (fun seed ->
+           match
+             Net_scenario.write_sequential ~protocol:Net_scenario.cds
+               ~p:p_net ~rounds:2 ~crashes:(seed mod 2)
+               ~duplication:(seed mod 3 = 0) ~seed ()
+           with
+           | Error e -> Alcotest.failf "%a" Net_scenario.error_pp e
+           | Ok r -> cds_holds r));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"wire-level CDS is WS-Regular with concurrent readers"
+         ~count:30 arb_seed
+         (fun seed ->
+           match
+             Net_scenario.concurrent_reads ~protocol:Net_scenario.cds
+               ~p:p_net ~rounds:2 ~readers:2 ~crashes:(seed mod 2)
+               ~duplication:(seed mod 3 = 0) ~seed ()
+           with
+           | Error e -> Alcotest.failf "%a" Net_scenario.error_pp e
+           | Ok r -> cds_holds r));
+  ]
 
 (* --- wire fuzzing ---------------------------------------------------------- *)
 
@@ -406,6 +441,14 @@ let net_fuzz_tests =
         in
         Alcotest.(check int) "runs" 5 o.runs;
         Alcotest.(check (option int)) "no bad seed" None o.first_bad_seed);
+    test "wire-CDS fuzz clean" (fun () ->
+        let o =
+          Net_fuzz.run ~protocol:Net_scenario.cds ~p:p_net ~runs:12 ~seed:50 ()
+        in
+        Alcotest.(check int)
+          "no violations" 0
+          (o.ws_safe_violations + o.ws_regular_violations
+         + o.liveness_failures));
   ]
 
 let suites =
@@ -416,5 +459,6 @@ let suites =
     ("netsim:random", random_tests);
     ("netsim:scenarios", scenario_tests);
     ("netsim:alg2-scenarios", alg2_scenario_tests);
+    ("netsim:cds-scenarios", cds_scenario_tests);
     ("netsim:fuzz", net_fuzz_tests);
   ]

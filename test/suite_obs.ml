@@ -424,7 +424,7 @@ let agreement_tests =
         let mx = Metrics.create () in
         let sink = Sink.make ~metrics:mx () in
         let spec =
-          { (Live_bench.default_spec ~algo:Live_bench.Abd ~chaos:true ~seed:9 ())
+          { (Live_bench.default_spec ~algo:Algo.Abd ~chaos:true ~seed:9 ())
             with Live_bench.ops_per_client = 15 }
         in
         let o = Live_bench.run ~sink spec in
@@ -455,7 +455,7 @@ let agreement_tests =
         let tr = Trace.create () in
         let sink = Sink.make ~trace:tr () in
         let spec =
-          { (Live_bench.default_spec ~algo:Live_bench.Abd ~chaos:false ~seed:4 ())
+          { (Live_bench.default_spec ~algo:Algo.Abd ~chaos:false ~seed:4 ())
             with Live_bench.ops_per_client = 15 }
         in
         let o = Live_bench.run ~sink spec in
