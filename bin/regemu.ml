@@ -1251,7 +1251,7 @@ let live_cmd =
   Cmd.v
     (Cmd.info "live"
        ~doc:
-         "Run a real concurrent cluster: server threads, load-generator \
+         "Run a real concurrent cluster: servers, load-generator \
           client threads, fault injection, and online consistency checking.")
     Term.(
       const run $ bench_arg $ smoke_arg $ saturate_arg $ tail_arg $ chaos_arg
@@ -1259,7 +1259,7 @@ let live_cmd =
       $ Arg.(value & opt int 1 & info [ "k" ] ~doc:"Number of writer threads.")
       $ readers_arg
       $ Arg.(value & opt int 1 & info [ "f" ] ~doc:"Failure threshold.")
-      $ Arg.(value & opt int 3 & info [ "n" ] ~doc:"Number of server threads.")
+      $ Arg.(value & opt int 3 & info [ "n" ] ~doc:"Number of servers.")
       $ ops_arg $ couriers_arg $ backend_arg $ json_arg $ seed_arg $ reps_arg
       $ Obs_cli.trace_arg
       $ Obs_cli.sample_arg ~default:64

@@ -45,18 +45,20 @@ let unavailable_pp ppf u =
               reachable)"
     Id.Client.pp u.client u.elapsed_s cause_pp u.cause u.reachable u.required
 
-(* how many mailbox messages a server drains per wakeup *)
+(* how many mailbox messages a server actor drains per wakeup *)
 let server_batch = 16
 
 type server = {
   sid : int;
   store : Proto.store;
-  mailbox : (int * Proto.payload) Mailbox.t;
-  sm : Mutex.t;
-  sc : Condition.t;
+  mailbox : (int * Proto.payload) Mailbox.t;  (* used only under a scheduler *)
+  backlog : (int * Proto.payload) Queue.t;
+      (* requests that reached the server while it was down, in arrival
+         order; under [sm] *)
+  sm : Mutex.t;  (* held only around a store step, a backlog push or a
+                    flag flip: nothing is sent under it *)
   mutable up : bool;
   mutable closing : bool;
-  mutable sthread : Thread.t option;
 }
 
 (* a hedged round's deferred sends, armed until the round completes or
@@ -77,6 +79,12 @@ type client = {
          private, so awaits know whether to nest their own spans *)
   cm : Mutex.t;
   cc : Condition.t;
+  tr : Transport.t;
+  outbox : Transport.envelope Queue.t;
+      (* requests queued under [cm], sent by whichever thread releases
+         it: a send may step a server and dispatch the reply on the
+         sending thread, which must then be free to take [cm] *)
+  mutable flushing : bool;  (* a thread is sending the outbox; under [cm] *)
   handlers : (int, Proto.payload -> unit) Hashtbl.t;
   pending : (int, Retry.pending) Hashtbl.t;  (* rid -> retransmission state *)
   crng : Regemu_sim.Rng.t;  (* jitter; touched only under [cm] *)
@@ -102,7 +110,7 @@ type t = {
   cfg : config;
   sched : Sched_hook.t option;
   backend : Transport.backend;  (* the fabric actually running (sched forces
-                                   [Threads]); decides where servers execute *)
+                                   [Threads]) *)
   sink : Sink.t;
   ctl : Sink.Trace.recorder option;  (* control-plane events: faults, nemesis *)
   alarm : Alarm.t;  (* interrupts the heartbeat/pacer sleeps at shutdown *)
@@ -139,6 +147,34 @@ let sink t = t.sink
 
 (* --- routing ----------------------------------------------------------- *)
 
+(* Release [cl.cm], first sending what the critical section queued in
+   the outbox; called with [cl.cm] held.  One thread at a time sends a
+   client's outbox.  A send can step a server and dispatch its reply to
+   this very client on the same thread; that nested release finds the
+   outbox owned and leaves whatever its handler queued to the owner, so
+   the client's requests leave in queue order and the nesting never
+   deepens.  Nothing here yields to a scheduler, so under DST the sends
+   land before the actor's next yield, in the order they were issued. *)
+let release cl =
+  if cl.flushing || Queue.is_empty cl.outbox then Mutex.unlock cl.cm
+  else begin
+    cl.flushing <- true;
+    let batch = Queue.create () in
+    let rec drain () =
+      Queue.transfer cl.outbox batch;
+      Mutex.unlock cl.cm;
+      Queue.iter (Transport.send cl.tr) batch;
+      Queue.clear batch;
+      Mutex.lock cl.cm;
+      if Queue.is_empty cl.outbox then begin
+        cl.flushing <- false;
+        Mutex.unlock cl.cm
+      end
+      else drain ()
+    in
+    drain ()
+  end
+
 let dispatch_to_client t cid payload =
   let clients = t.clients in
   if cid >= 0 && cid < Array.length clients then begin
@@ -159,78 +195,74 @@ let dispatch_to_client t cid payload =
           | Some p -> if p () then Condition.signal cl.cc
           | None -> Condition.signal cl.cc)
     | None -> ());
-    Mutex.unlock cl.cm
+    (* a handler may have issued requests (Algorithm 2's stale-ack
+       re-send): they leave here, after the unlock *)
+    release cl
   end
-
-(* Execute one server step on the delivering thread — the [Domains]
-   backend's request path: the lane's domain is the server's execution
-   context, so there is no mailbox and no server thread.  A crashed
-   server blocks its lane head-of-line (messages wait, exactly like
-   mail to a crashed-but-reachable server); the transport gates the
-   lane too, so this wait only catches envelopes already drained when
-   the crash landed. *)
-let step_here t srv src payload =
-  Mutex.lock srv.sm;
-  while (not srv.up) && not srv.closing do
-    Condition.wait srv.sc srv.sm
-  done;
-  let closing = srv.closing in
-  Mutex.unlock srv.sm;
-  if not closing then
-    List.iter
-      (fun reply ->
-        Transport.send (transport t)
-          {
-            Transport.src = srv.sid;
-            dest = Transport.To_client src;
-            payload = reply;
-          })
-      (Proto.step srv.store payload)
-
-let deliver t (env : Transport.envelope) =
-  match env.dest with
-  | Transport.To_server i -> (
-      match t.backend with
-      | Transport.Domains -> step_here t t.servers.(i) env.src env.payload
-      | Transport.Threads | Transport.Socket ->
-          (* [Socket] never routes a request here — children serve
-             them — but a stray one waits in the mailbox harmlessly *)
-          Mailbox.push t.servers.(i).mailbox (env.src, env.payload))
-  | Transport.To_client c -> dispatch_to_client t c env.payload
 
 (* --- servers ----------------------------------------------------------- *)
 
-let server_loop t srv =
+(* Step one request; called with [srv.sm] held.  [sm] covers only the
+   store step: it is released before the replies go out, so it never
+   nests around a send. *)
+let step_locked t srv src payload =
+  let replies = Proto.step srv.store payload in
+  Mutex.unlock srv.sm;
+  List.iter
+    (fun reply ->
+      Transport.send (transport t)
+        { Transport.src = srv.sid; dest = Transport.To_client src; payload = reply })
+    replies
+
+(* Execute a request on the thread that delivers it — with no
+   scheduler installed, the only server execution there is: the sending
+   client itself on the courier fabric's idle-lane fast path, a
+   courier, or a [Domains] lane domain.  Mail for a down server joins
+   its backlog, and so does mail arriving behind a backlog, so a
+   server steps requests in arrival order; {!restart} steps the
+   backlog.  In the asynchronous model a crashed server is just a slow
+   one: its mail waits, it is never lost. *)
+let serve t srv src payload =
+  Mutex.lock srv.sm;
+  if srv.closing then Mutex.unlock srv.sm
+  else if srv.up && Queue.is_empty srv.backlog then
+    step_locked t srv src payload
+  else begin
+    Queue.push (src, payload) srv.backlog;
+    Mutex.unlock srv.sm
+  end
+
+(* step a restarted server's backlog, oldest first, until it is empty
+   or the server goes down again *)
+let rec step_backlog t srv =
+  Mutex.lock srv.sm;
+  if srv.up && (not srv.closing) && not (Queue.is_empty srv.backlog) then begin
+    let src, payload = Queue.pop srv.backlog in
+    step_locked t srv src payload;
+    step_backlog t srv
+  end
+  else Mutex.unlock srv.sm
+
+(* A server actor, the execution model under a scheduler: DST
+   interleaves each server as an actor of its own, draining the mailbox
+   the transport delivers into and parking while the server is down. *)
+let server_loop t (hook : Sched_hook.t) srv =
   let handle (src, payload) =
     Mutex.lock srv.sm;
-    (* protect, not straight-line unlock: on scheduler teardown the
-       suspend raises with [srv.sm] re-held, and a leaked [sm] wedges
-       every other actor that touches this server *)
-    let closing =
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock srv.sm)
-        (fun () ->
-          (match t.sched with
-          | None ->
-              while (not srv.up) && not srv.closing do
-                Condition.wait srv.sc srv.sm
-              done
-          | Some hook ->
-              hook.suspend ~mutex:srv.sm (fun () -> srv.up || srv.closing));
-          srv.closing)
-    in
-    if closing then false
+    (* on scheduler teardown the suspend raises with [srv.sm] re-held,
+       and a leaked [sm] wedges every other actor that touches this
+       server *)
+    (match hook.suspend ~mutex:srv.sm (fun () -> srv.up || srv.closing) with
+    | () -> ()
+    | exception e ->
+        Mutex.unlock srv.sm;
+        raise e);
+    if srv.closing then begin
+      Mutex.unlock srv.sm;
+      false
+    end
     else begin
-      let replies = Proto.step srv.store payload in
-      List.iter
-        (fun reply ->
-          Transport.send (transport t)
-            {
-              Transport.src = srv.sid;
-              dest = Transport.To_client src;
-              payload = reply;
-            })
-        replies;
+      step_locked t srv src payload;
       true
     end
   in
@@ -240,6 +272,16 @@ let server_loop t srv =
     | Some batch -> if List.for_all handle batch then go ()
   in
   go ()
+
+let deliver t (env : Transport.envelope) =
+  match env.dest with
+  | Transport.To_server i -> (
+      (* [Socket] never routes a request here: its children serve them *)
+      let srv = t.servers.(i) in
+      match t.sched with
+      | Some _ -> Mailbox.push srv.mailbox (env.src, env.payload)
+      | None -> serve t srv env.src env.payload)
+  | Transport.To_client c -> dispatch_to_client t c env.payload
 
 (* --- construction ------------------------------------------------------ *)
 
@@ -256,11 +298,10 @@ let create ?sched ?(sink = Sink.none) cfg =
           sid;
           store = Proto.store_create ();
           mailbox = Mailbox.create ?sched ();
+          backlog = Queue.create ();
           sm = Mutex.create ();
-          sc = Condition.create ();
           up = true;
           closing = false;
-          sthread = None;
         })
   in
   let t =
@@ -361,6 +402,9 @@ let new_client t =
       op_live = false;
       cm = Mutex.create ();
       cc = Condition.create ();
+      tr = transport t;
+      outbox = Queue.create ();
+      flushing = false;
       handlers = Hashtbl.create 32;
       pending = Hashtbl.create 32;
       crng =
@@ -391,25 +435,22 @@ let alloc_reg t ~server =
 
 (* --- client primitives -------------------------------------------------- *)
 
-let fresh_rid t = Atomic.fetch_and_add t.rid 1
-
 let locked cl f =
   Mutex.lock cl.cm;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cl.cm) f
-
-let on_reply cl ~rid f = Hashtbl.replace cl.handlers rid f
+  Fun.protect ~finally:(fun () -> release cl) f
 
 let check_server t i =
   if i < 0 || i >= t.cfg.n then invalid_arg "Cluster: unknown server"
 
-let send t ~src server payload =
-  check_server t server;
-  Transport.send (transport t)
+(* queue a request for the next [release]; caller holds [cl.cm] *)
+let post cl server payload =
+  Queue.push
     {
-      Transport.src = Id.Client.to_int src.id;
+      Transport.src = Id.Client.to_int cl.id;
       dest = Transport.To_server server;
       payload;
     }
+    cl.outbox
 
 (* fold one observed reply latency into a server's health EWMA *)
 let health_alpha = 0.2
@@ -434,7 +475,7 @@ let server_health t ~server =
 
 let rpc t ~src:cl ?(sticky = false) server ~make ~handler =
   check_server t server;
-  let rid = fresh_rid t in
+  let rid = Atomic.fetch_and_add t.rid 1 in
   let payload = make rid in
   let handler =
     match cl.dl with
@@ -467,12 +508,7 @@ let rpc t ~src:cl ?(sticky = false) server ~make ~handler =
           ("sticky", Sink.Event.B sticky);
         ]
       "rpc";
-  Transport.send (transport t)
-    {
-      Transport.src = Id.Client.to_int cl.id;
-      dest = Transport.To_server server;
-      payload;
-    }
+  post cl server payload
 
 (* caller holds [cl.cm]; a hedge armed for the finished round dies
    with it *)
@@ -589,27 +625,22 @@ let pacer_loop t (h : Hedge.config) =
           | Some _ ->
               Mutex.lock cl.cm;
               fire_due_hedge t cl (Clock.now_s ());
-              Mutex.unlock cl.cm)
+              release cl)
         t.clients
   done
 
 let start t =
   t.running <- true;
-  (match t.sched with
-  | None ->
-      (* only the threaded backend hosts servers in this process's
-         threads: [Domains] executes them in the lane domains
-         ([step_here]), [Socket] in forked children *)
-      if t.backend = Transport.Threads then
-        Array.iter
-          (fun srv -> srv.sthread <- Some (Thread.create (server_loop t) srv))
-          t.servers
-  | Some hook ->
+  (* servers are actors only under a scheduler; otherwise they execute
+     on whichever thread delivers their mail ([serve]) *)
+  Option.iter
+    (fun hook ->
       Array.iter
         (fun srv ->
-          hook.spawn ~name:(Fmt.str "server-%d" srv.sid) (fun () ->
-              server_loop t srv))
-        t.servers);
+          hook.Sched_hook.spawn ~name:(Fmt.str "server-%d" srv.sid) (fun () ->
+              server_loop t hook srv))
+        t.servers)
+    t.sched;
   Transport.start (transport t);
   (* no heartbeat or pacer under a scheduler: [await] parks with a
      timeout instead (shortened to an armed hedge's due time), so
@@ -651,12 +682,7 @@ let retransmit_due t cl now =
                   Sink.Event.I (int_of_float (p.Retry.backoff_s *. 1e3)) );
               ]
             "retry";
-          Transport.send (transport t)
-            {
-              Transport.src = Id.Client.to_int cl.id;
-              dest = Transport.To_server p.Retry.server;
-              payload = p.Retry.payload;
-            })
+          post cl p.Retry.server p.Retry.payload)
         due
 
 let is_reachable t i =
@@ -733,7 +759,15 @@ let await_body t cl ?need pred =
               (Timeout
                  (Fmt.str "client %a: no quorum within %.1fs" Id.Client.pp
                     cl.id t.cfg.op_timeout_s));
+          (* what this wake queued leaves before the client parks; on
+             the inline path its replies may already satisfy [pred] *)
+          let flushed = not (Queue.is_empty cl.outbox) in
+          if flushed then begin
+            release cl;
+            Mutex.lock cl.cm
+          end;
           (match t.sched with
+          | _ when flushed && pred () -> ()
           | None ->
               cl.waiting <- true;
               cl.pred <- Some pred;
@@ -844,8 +878,8 @@ let crash t i =
   Mutex.unlock srv.sm;
   if was_up then begin
     (* tell the fabric too: [Domains] parks the server's lane, [Socket]
-       SIGKILLs the child process; [Threads] ignores it (the mailbox
-       gates) *)
+       SIGKILLs the child process; [Threads] ignores it (the backlog,
+       or the server actor's park under a scheduler, gates) *)
     Transport.set_server_up (transport t) ~server:i false;
     Mutex.lock t.gm;
     t.crashes <- t.crashes + 1;
@@ -871,9 +905,11 @@ let restart t i =
        must keep its register count for [Ensure_regs] forwarding. *)
     Proto.reset srv.store;
   srv.up <- true;
-  Condition.broadcast srv.sc;
   Mutex.unlock srv.sm;
   if was_down then begin
+    (* the mail that waited, stepped on the recovered (under [Amnesia],
+       the wiped) store before the fabric's own gate reopens *)
+    step_backlog t srv;
     let wiped =
       t.cfg.recovery = Recovery.Amnesia || t.backend = Transport.Socket
     in
@@ -1067,20 +1103,16 @@ let shutdown t =
     t.heartbeat <- None;
     Option.iter Thread.join t.pacer;
     t.pacer <- None;
-    (* wake crashed servers and tell every server loop to exit *)
+    (* stop serving: later mail is dropped, a backlog is abandoned, and
+       server actors exit *)
     Array.iter
       (fun srv ->
         Mutex.lock srv.sm;
         srv.closing <- true;
-        Condition.broadcast srv.sc;
+        Queue.clear srv.backlog;
         Mutex.unlock srv.sm;
         Mailbox.close srv.mailbox)
       t.servers;
     Transport.stop (transport t);
-    Array.iter
-      (fun srv ->
-        Option.iter Thread.join srv.sthread;
-        srv.sthread <- None)
-      t.servers;
     Alarm.close t.alarm
   end

@@ -1,7 +1,16 @@
-(** A live cluster: every server of the network model as a real OS
-    thread draining a {!Mailbox}, clients as caller threads blocking on
-    per-client [Condition]s, and the environment as the {!Transport}
-    couriers plus whatever crash/partition/loss faults are injected.
+(** A live cluster: every server of the network model as a store
+    stepped on whichever thread delivers its mail, clients as caller
+    threads blocking on per-client [Condition]s, and the environment as
+    the {!Transport} fabric plus whatever crash/partition/loss faults
+    are injected.
+
+    Without a scheduler there are no server threads: the
+    {!Transport.Threads} fabric steps a server on the thread that
+    delivers the request — the sending client itself on an idle lane's
+    fast path, else a courier — and {!Transport.Domains} in the
+    server's lane domain.  Under a {!Sched_hook} each server is instead
+    a cooperative actor draining a {!Mailbox}, so the deterministic
+    scheduler can interleave it.
 
     The servers execute {!Regemu_netsim.Proto.step} — byte-for-byte the
     same protocol core as the scripted simulator in
@@ -11,8 +20,9 @@
 
     {2 Crash semantics}
 
-    {!crash} halts a server's message processing; its mailbox keeps
-    queueing.  {!restart} resumes it.  What the server remembers is the
+    {!crash} halts a server's message processing; its mail keeps
+    queueing, in arrival order.  {!restart} resumes it and steps the
+    queued mail.  What the server remembers is the
     {!Recovery.mode} of the cluster: [Persist] (storage survives, the
     paper's model) or [Amnesia] (a diskless reboot — the store is
     wiped, and the consistency checkers are expected to flag the
@@ -48,17 +58,25 @@
 
     Each client has one mutex guarding its reply-handler table,
     retransmission table, and any protocol state owned by that client.
-    Reply handlers run {e under} that mutex (on courier threads), so
-    handler bodies and the client's own thread never race; client code
-    wraps its accesses in {!locked}.  The only lock nesting is
-    client-mutex → transport/mailbox/server/global-mutex, so the system
-    is deadlock-free by ordering. *)
+    Reply handlers run {e under} that mutex (on whichever thread
+    delivers the reply), so handler bodies and the client's own thread
+    never race; client code wraps its accesses in {!locked}.
+
+    Nothing is sent while a client mutex is held.  A request issued
+    under it ({!rpc}, a retransmission, a hedge) is queued in the
+    client's outbox and sent by the thread that releases the mutex:
+    the send may step the server and dispatch its reply on that same
+    thread, which then takes the mutex again.  A server's mutex covers
+    only its store step; replies go out after it is released.  Client
+    and server mutexes therefore never nest around a send, and the
+    only nesting left — a client's watchdog reading a server's up flag
+    — takes the server mutex last. *)
 
 open Regemu_objects
 open Regemu_netsim
 
 type config = {
-  n : int;  (** number of server threads *)
+  n : int;  (** number of servers *)
   transport : Transport.config;
   op_timeout_s : float;
       (** an operation awaiting longer than this raises [Timeout] —
@@ -69,7 +87,7 @@ type config = {
           PR 1 behaviour); [Some] makes clients survive a lossy
           transport *)
   hedge : Hedge.config option;
-      (** [Some] makes {!rpc_quorum} contact a health-biased subset
+      (** [Some] makes {!quorum_round} contact a health-biased subset
           first and retransmit to the rest after an adaptive delay —
           the gray-failure defense; [None] (the default) broadcasts to
           every replica as before *)
@@ -136,10 +154,10 @@ val create : ?sched:Sched_hook.t -> ?sink:Sink.t -> config -> t
 (** The observability sink the cluster was created with. *)
 val sink : t -> Sink.t
 
-(** Spawn server, courier, and heartbeat threads (or register them as
-    scheduler actors under [?sched], which replaces the heartbeat with
-    timed parks).  Allocate clients and register cells before
-    starting. *)
+(** Start the fabric and the heartbeat (and hedge pacer) threads.
+    Under [?sched], register the server and courier actors instead,
+    and no heartbeat: awaits park with a timeout.  Allocate clients
+    and register cells before starting. *)
 val start : t -> unit
 
 val num_servers : t -> int
@@ -152,21 +170,10 @@ val alloc_reg : t -> server:int -> int
 
 (** {2 Client-side primitives (the live analogue of {!Net}'s API)} *)
 
-(** Globally fresh request id. *)
-val fresh_rid : t -> int
-
 (** Run [f] under the client's mutex.  All client-side protocol state
-    must be touched only under it. *)
+    must be touched only under it.  Requests [f] issues are sent as the
+    mutex is released. *)
 val locked : client -> (unit -> 'a) -> 'a
-
-(** Register a one-shot reply handler for [rid].  The caller must hold
-    the client's mutex ({!locked}); handlers themselves already do.
-    Low-level: {!rpc} also registers retransmission state. *)
-val on_reply : client -> rid:int -> (Proto.payload -> unit) -> unit
-
-(** Send a request to a server, fire-and-forget (no retransmission).
-    Safe with or without the client mutex held. *)
-val send : t -> src:client -> int -> Proto.payload -> unit
 
 (** [rpc t ~src server ~make ~handler] allocates a fresh rid, sends
     [make rid] to [server], registers the one-shot [handler], and (when
@@ -175,7 +182,9 @@ val send : t -> src:client -> int -> Proto.payload -> unit
     the end of the await that created them and keep being retransmitted
     by this client's later awaits — for requests whose acknowledgement
     matters beyond the current operation (Algorithm 2's covering
-    writes).  The caller must hold the client's mutex. *)
+    writes).  The caller must hold the client's mutex; the request
+    leaves when the mutex is released, and its reply may be handled
+    before that release returns. *)
 val rpc :
   t ->
   src:client ->
@@ -183,27 +192,6 @@ val rpc :
   int ->
   make:(int -> Proto.payload) ->
   handler:(Proto.payload -> unit) ->
-  unit
-
-(** [rpc_quorum t ~src ~quorum ~make ~handler replicas] issues one
-    quorum round's RPCs.  Without a hedge config this is exactly
-    [List.iter (rpc ...)]: broadcast to every replica.  With one, the
-    round contacts an initial subset of [quorum + spares] replicas —
-    rotated by the client's seeded RNG, biased toward the healthiest
-    (lowest reply-latency EWMA) — and arms the deferred rest behind the
-    adaptive hedge delay; if the round is still open when it elapses,
-    the deferred replicas are contacted too (fresh rids, so the
-    one-shot dispatch dedupes hedged replies like retransmitted ones).
-    The hedge disarms with the round.  The caller must hold the
-    client's mutex and should pass the same [replicas] to [await]'s
-    [need] so the watchdog sees the whole replica set. *)
-val rpc_quorum :
-  t ->
-  src:client ->
-  quorum:int ->
-  make:(int -> Proto.payload) ->
-  handler:(Proto.payload -> unit) ->
-  int list ->
   unit
 
 (** Block the calling thread until [pred] holds.  [pred] is evaluated
@@ -218,10 +206,17 @@ val rpc_quorum :
 val await : t -> client -> ?need:int list * int -> (unit -> bool) -> unit
 
 (** [quorum_round t cl ~quorum ~make ~fold ~init replicas] runs one
-    quorum round: {!rpc_quorum} under the client's mutex, {!await}
-    [quorum] replies with [need = (replicas, quorum)], and return the
-    fold of the replies that arrived.  Takes the mutex itself; the
-    caller must not hold it. *)
+    quorum round: issue [make rid] to [replicas], {!await} [quorum]
+    replies with [need = (replicas, quorum)], and return the fold of
+    the replies that arrived.  Without a hedge config the round
+    broadcasts to every replica.  With one, it contacts an initial
+    subset of [quorum + spares] replicas — rotated by the client's
+    seeded RNG, biased toward the healthiest (lowest reply-latency
+    EWMA) — and arms the deferred rest behind the adaptive hedge delay;
+    if the round is still open when it elapses, the deferred replicas
+    are contacted too (fresh rids, so the one-shot dispatch dedupes
+    hedged replies like retransmitted ones).  Takes the mutex itself;
+    the caller must not hold it. *)
 val quorum_round :
   t ->
   client ->
@@ -351,6 +346,7 @@ val server_resident_bytes : t -> server:int -> int
     (children own the real stores). *)
 val resident_space : t -> int * int * int
 
-(** Stop everything: revive crashed servers so they can exit, close
-    mailboxes, stop the transport, join all threads.  Idempotent. *)
+(** Stop everything: stop serving (queued mail for a crashed server
+    is dropped), close the server actors' mailboxes, stop the
+    transport, join all threads.  Idempotent. *)
 val shutdown : t -> unit

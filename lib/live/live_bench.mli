@@ -4,7 +4,7 @@
     counts and fault rates, every run validated online by the
     consistency checkers.
 
-    A run spawns [n] server threads, [k] writer + [readers] reader
+    A run starts an [n]-server cluster, [k] writer + [readers] reader
     threads, an online {!Checker}, optionally a {!Fault} injector, and
     measures wall-clock ops/s, p50/p95/p99 operation latency (via
     {!Regemu_sim.Stats.percentiles}), and the resident-space maxima

@@ -1,8 +1,10 @@
 (** A thread-safe FIFO mailbox built on [Mutex]/[Condition].
 
-    The unit of server-side asynchrony in the live runtime: every
-    server thread drains one mailbox, every courier thread pushes into
-    them.  Delivery is exactly-once — an item pushed before [close] is
+    The unit of server-side asynchrony under a deterministic
+    scheduler: every server actor drains one mailbox, every courier
+    actor pushes into them.  (Without a scheduler servers have no
+    thread and no mailbox: they are stepped by the delivering
+    thread.)  Delivery is exactly-once — an item pushed before [close] is
     popped by exactly one consumer (the transport layer, not the
     mailbox, is where duplication and reordering are injected).
 

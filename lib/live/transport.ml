@@ -83,7 +83,7 @@ let send t env =
 
 let set_server_up t ~server v =
   match t with
-  | C _ -> ()  (* courier delivery is up-agnostic: the mailbox gates *)
+  | C _ -> ()  (* courier delivery is up-agnostic: the cluster's backlog gates *)
   | D x -> Transport_domains.set_server_up x ~server v
   | S x -> Transport_socket.set_server_up x ~server v
 

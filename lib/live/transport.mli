@@ -152,7 +152,9 @@ val backend : t -> backend
 val start : t -> unit
 
 (** [set_server_up t ~server up] tells the fabric about a crash or
-    restart.  [Threads]: a no-op (the server's mailbox gates).
+    restart.  [Threads]: a no-op (the cluster gates: a down server's
+    mail waits in its backlog, or in its actor's mailbox under a
+    scheduler).
     [Domains]: the server's lane parks while down — queued messages
     wait, like mail to a crashed-but-reachable server.  [Socket]:
     down SIGKILLs the child process; up execs a fresh one (empty

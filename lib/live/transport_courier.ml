@@ -249,8 +249,13 @@ let send t env =
         let dup = hit lane.lrng t.cfg.dup_prob in
         (* fast path: without reordering, an idle lane (nothing queued,
            nothing popped-but-undelivered) may deliver on the sending
-           thread — same FIFO order, two context switches fewer.  Any
-           backlog, in-flight delayed message, or reorder mode goes
+           thread — same FIFO order, no courier hand-off.  Without a
+           scheduler the delivery runs the destination's work right
+           here: a request steps its server, a reply runs the client's
+           handler, so a quiet round needs no thread switch at all.
+           [inflight] keeps the lane non-idle meanwhile, so a send that
+           re-enters it from inside that work queues for a courier.
+           Any backlog, in-flight delayed message, or reorder mode goes
            through the couriers. *)
         let inline_ok =
           (not t.cfg.reorder)

@@ -4,8 +4,7 @@
    condvar, no courier handoff — and the lane's domain both applies
    the seeded fault stream and (for server lanes) executes the server
    itself: the delivering domain IS the server's execution context, so
-   a request costs one cross-domain push where the threaded backend
-   pays a lane handoff plus a mailbox handoff.
+   a request costs one cross-domain push and no thread handoff.
 
    Fault semantics match the courier backend with two documented
    differences: fault decisions (drop/dup/delay/reorder) are made by
@@ -18,7 +17,7 @@
    Crash gating: a server lane parks while its server is down
    ([set_server_up]) or frozen, so messages to a crashed-but-reachable
    server wait in the ring — the asynchronous model's treatment of
-   crashes, same as the mailbox of the threaded backend. *)
+   crashes, same as the cluster-side backlog of the threaded backend. *)
 
 open Transport_intf
 

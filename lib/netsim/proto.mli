@@ -60,7 +60,7 @@ val is_reply : payload -> bool
 
 (** One server's storage: the built-in max-register plus its plain
     register cells.  Not thread-safe by itself — in the live runtime
-    each store is owned by exactly one server thread. *)
+    each store is stepped only under its server's mutex. *)
 type store
 
 val store_create : unit -> store

@@ -708,6 +708,169 @@ let cluster_tests =
         Alcotest.(check int) "every op completed" (3 * 40) o.ops);
   ]
 
+(* --- servers stepped on the delivering thread ---------------------------- *)
+
+(* a loss-free fabric without reordering: an idle lane delivers on the
+   sending thread, so requests are stepped by their sender.  One courier
+   per lane keeps each lane FIFO, so a duplicate lands before anything
+   sent after it (Algorithm 2's plain-overwrite cells assume no stale
+   copy overtakes a newer write). *)
+let quiet_cfg ?(dup_prob = 0.0) ~seed () =
+  let base = Cluster.default_config ~n:3 ~seed in
+  {
+    base with
+    Cluster.transport =
+      {
+        base.Cluster.transport with
+        Transport.reorder = false;
+        couriers = 1;
+        dup_prob;
+      };
+  }
+
+let metric_value mx name =
+  match Sink.Metrics.find mx name with
+  | None -> Alcotest.failf "metric %S not in the registry" name
+  | Some j -> (
+      match Json.(member "value" j |> Option.map to_int_opt |> Option.join) with
+      | Some v -> v
+      | None -> Alcotest.failf "metric %S has no integer value" name)
+
+(* run [ops] on their own threads; fail instead of hanging if they do
+   not all return within [deadline_s] *)
+let under_watchdog ?(deadline_s = 60.0) ops =
+  let finished = Atomic.make 0 in
+  let threads =
+    List.map
+      (fun op ->
+        Thread.create
+          (fun () ->
+            op ();
+            Atomic.incr finished)
+          ())
+      ops
+  in
+  if
+    not
+      (settle ~deadline_s (fun () -> Atomic.get finished) (List.length ops))
+  then Alcotest.failf "operations still running after %.0fs" deadline_s;
+  List.iter Thread.join threads
+
+(* store 100 in a register of server 0, crash the server, send it a
+   read, two writes and a read, then restart it; the replies in the
+   order they arrived, and the register's final content *)
+let backlog_run recovery =
+  let cfg = { (quiet_cfg ~seed:9 ()) with Cluster.recovery; retry = None } in
+  let cluster = Cluster.create cfg in
+  let reg = Cluster.alloc_reg cluster ~server:0 in
+  let cl = Cluster.new_client cluster in
+  Cluster.start cluster;
+  let replies = ref [] in
+  let send make =
+    Cluster.locked cl (fun () ->
+        Cluster.rpc cluster ~src:cl 0 ~make ~handler:(fun reply ->
+            replies :=
+              (match reply with
+              | Regemu_netsim.Proto.Reg_read_reply { stored; _ } ->
+                  Value.to_string stored
+              | _ -> "ack")
+              :: !replies))
+  in
+  let write v rid = Regemu_netsim.Proto.Reg_write { rid; reg; proposed = Value.Int v } in
+  let read rid = Regemu_netsim.Proto.Reg_read { rid; reg } in
+  send (write 100);
+  Cluster.await cluster cl (fun () -> List.length !replies = 1);
+  replies := [];
+  Cluster.crash cluster 0;
+  List.iter send [ read; write 1; write 2; read ];
+  let delivered () = (Cluster.stats cluster).Cluster.msgs_delivered in
+  Alcotest.(check bool) "all four requests reached the server" true
+    (settle delivered 6);
+  Alcotest.(check (list string)) "nothing stepped while down" [] !replies;
+  Cluster.restart cluster 0;
+  Cluster.await cluster cl (fun () -> List.length !replies = 4);
+  let content = Cluster.peek_reg cluster ~server:0 reg in
+  Cluster.shutdown cluster;
+  (List.rev !replies, Value.to_string content)
+
+let inline_tests =
+  [
+    test "an unscheduled threads run parks nothing in a mailbox" (fun () ->
+        List.iter
+          (fun (what, cfg) ->
+            let mx = Sink.Metrics.create () in
+            let cluster =
+              Cluster.create ~sink:(Sink.make ~metrics:mx ()) cfg
+            in
+            let abd = Abd_live.create cluster ~f:1 () in
+            let w = Cluster.new_client cluster in
+            let r = Cluster.new_client cluster in
+            Cluster.start cluster;
+            for i = 1 to 30 do
+              Abd_live.write abd w (Value.Int i);
+              ignore (Abd_live.read abd r)
+            done;
+            Alcotest.(check int) (what ^ ": ops completed") 60
+              (metric_value mx "ops.completed");
+            Alcotest.(check int) (what ^ ": mailbox.pushed") 0
+              (metric_value mx "mailbox.pushed");
+            Cluster.shutdown cluster)
+          [
+            ("couriers", Cluster.default_config ~n:3 ~seed:6);
+            ("inline", quiet_cfg ~seed:6 ());
+          ]);
+    test "algorithm 2 re-sends from reply handlers on the inline path"
+      (fun () ->
+        (* duplication queues a copy on the lane, so some covering-write
+           acks arrive late, via a courier: the stale ones make the
+           reply handler re-send, and that re-send steps a server and
+           dispatches its reply back into the same client *)
+        let n_ops = 150 in
+        let cluster = Cluster.create (quiet_cfg ~dup_prob:0.3 ~seed:7 ()) in
+        let w = Cluster.new_client cluster in
+        let r = Cluster.new_client cluster in
+        let alg =
+          Alg2_live.create cluster
+            (Regemu_bounds.Params.make_exn ~k:1 ~f:1 ~n:3)
+            ~writers:[ w ] ()
+        in
+        Cluster.start cluster;
+        let checker = Checker.spawn cluster () in
+        under_watchdog
+          [
+            (fun () ->
+              for i = 1 to n_ops do
+                Alg2_live.write alg w (Value.Int i)
+              done);
+            (fun () ->
+              for _ = 1 to n_ops do
+                ignore (Alg2_live.read alg r)
+              done);
+          ];
+        let res = Checker.stop checker in
+        let st = Cluster.stats cluster in
+        Cluster.shutdown cluster;
+        Alcotest.(check int) "every op completed" (2 * n_ops)
+          st.Cluster.ops_completed;
+        Alcotest.(check bool) "messages were duplicated" true
+          (st.Cluster.msgs_duplicated > 0);
+        match res.Checker.ws with
+        | Regemu_history.Ws_check.Holds -> ()
+        | Violated v ->
+            Alcotest.failf "WS-Regularity violated: %a"
+              Regemu_history.Ws_check.violation_pp v
+        | Vacuous -> Alcotest.fail "one writer: the verdict must not be vacuous");
+    test "mail for a crashed server is stepped on restart, in arrival order"
+      (fun () ->
+        Alcotest.(check (pair (list string) string))
+          "persist: the store survives" ([ "100"; "ack"; "ack"; "2" ], "2")
+          (backlog_run Recovery.Persist);
+        Alcotest.(check (pair (list string) string))
+          "amnesia: the backlog runs on the wiped store"
+          ([ Value.to_string Value.v0; "ack"; "ack"; "2" ], "2")
+          (backlog_run Recovery.Amnesia));
+  ]
+
 (* --- saturation bench / regemu-bench schema ------------------------------ *)
 
 let bench_tests =
@@ -813,6 +976,7 @@ let suites =
     ("live.transport", transport_tests);
     ("live.histlog", histlog_tests @ histlog_property_tests);
     ("live.cluster", cluster_tests);
+    ("live.inline", inline_tests);
     ("live.bench", bench_tests);
     ("live.registry", registry_tests);
   ]
