@@ -1,4 +1,6 @@
-# Convenience targets; dune is the source of truth.
+# Convenience targets; dune is the source of truth.  Every BENCH file
+# is a regemu-bench/3 document (EXPERIMENTS.md), validated before the
+# write and again from the bytes on disk.
 
 .PHONY: all build test check bench perf-bench live-bench tail-bench compare-bench chaos-bench keyspace-bench dst-fuzz explore-smoke explore-exhaustive experiments trace-demo verify examples clean loc
 
@@ -22,26 +24,26 @@ bench:
 
 # the tracked perf trajectory: the interleaved three-way backend A/B
 # (threads vs domains vs socket, ABD, 16..256 client threads, median of
-# 3 per point) in the regemu-bench/2 schema, with per-point
-# speedup-vs-threads on the non-threads rows
+# 3 per point), one regemu-bench/3 row per point, with
+# speedup_vs_threads on the non-threads rows
 perf-bench:
 	dune exec bin/regemu.exe -- live --saturate --ops 200 --seed 42 --json BENCH_live.json
 
-# real threads, fault injection, online checking; writes BENCH_live_suite.json
+# real threads, fault injection, online checking; writes
+# BENCH_live_suite.json (bench live)
 live-bench:
 	dune exec bin/regemu.exe -- live --bench --json BENCH_live_suite.json
 
 # the tail-latency A/B: baseline vs unhedged vs hedged under a single
 # 10x gray straggler, median of 5 interleaved rounds per arm; writes
-# BENCH_tail.json in the regemu-tail/1 schema (validated before persisting)
+# BENCH_tail.json, one regemu-bench/3 row per arm
 tail-bench:
 	dune exec bin/regemu.exe -- live --tail --json BENCH_tail.json
 
 # the three-way space-vs-throughput-vs-fault-tolerance race: ABD,
 # Algorithm 2, and the CDS data store at each load point on the
 # threads and domains fabrics, median of 3 per cell; writes
-# BENCH_compare.json in the regemu-compare/1 schema (validated before
-# the write and re-parsed from disk after it)
+# BENCH_compare.json, one regemu-bench/3 row per cell
 compare-bench:
 	dune exec bin/regemu.exe -- compare --json BENCH_compare.json
 
@@ -51,7 +53,7 @@ chaos-bench:
 
 # the multi-register keyspace under open-loop load: one run per zipf
 # skew with the memory-bounded online checker live; writes
-# BENCH_keyspace.json (schema-validated before persisting)
+# BENCH_keyspace.json, one regemu-bench/3 row per skew
 keyspace-bench:
 	dune exec bin/regemu.exe -- keyspace --json BENCH_keyspace.json
 

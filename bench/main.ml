@@ -314,48 +314,39 @@ let bench_tests =
                 ~seed:1)));
   ]
 
-(* the regemu-bench/1 schema documented in EXPERIMENTS.md: OLS
-   ns-per-run estimate and r² per benchmark, per measure *)
-let json_of_results results =
-  let open Regemu_obs in
-  let benchmarks = ref [] in
-  Hashtbl.iter
-    (fun measure per_test ->
-      Hashtbl.iter
-        (fun name ols ->
-          let ns_per_run =
-            match Analyze.OLS.estimates ols with
-            | Some (e :: _) -> Json.Float e
-            | Some [] | None -> Json.Null
-          in
-          let r_square =
-            match Analyze.OLS.r_square ols with
-            | Some r -> Json.Float r
-            | None -> Json.Null
-          in
-          benchmarks :=
-            Json.Obj
-              [
-                ("name", Json.Str name);
-                ("measure", Json.Str measure);
-                ("ns_per_run", ns_per_run);
-                ("r_square", r_square);
-              ]
-            :: !benchmarks)
-        per_test)
-    results;
-  let by_name a b =
-    match (a, b) with
-    | Json.Obj (("name", Json.Str x) :: _), Json.Obj (("name", Json.Str y) :: _)
-      ->
-        String.compare x y
-    | _ -> 0
+(* one bench row per micro-benchmark, in [Test.names] order: its OLS
+   ns-per-run estimate and r²; a row is clean when OLS produced an
+   estimate *)
+let rows names results =
+  let per_test =
+    Hashtbl.fold
+      (fun measure tbl acc ->
+        Hashtbl.fold (fun name ols acc -> (name, (measure, ols)) :: acc) tbl acc)
+      results []
   in
-  Json.Obj
-    [
-      ("schema", Json.Str "regemu-bench/1");
-      ("benchmarks", Json.List (List.sort by_name !benchmarks));
-    ]
+  List.map
+    (fun name ->
+      let measure, ols = List.assoc name per_test in
+      let ns_per_run =
+        match Analyze.OLS.estimates ols with
+        | Some (e :: _) -> Some e
+        | Some [] | None -> None
+      in
+      let num = function
+        | Some x -> Regemu_obs.Json.Float x
+        | None -> Regemu_obs.Json.Null
+      in
+      {
+        Regemu_obs.Benchdoc.name;
+        params = [ ("measure", Regemu_obs.Json.Str measure) ];
+        metrics =
+          [
+            ("ns_per_run", num ns_per_run);
+            ("r_square", num (Analyze.OLS.r_square ols));
+          ];
+        clean = ns_per_run <> None;
+      })
+    names
 
 let run_benchmarks ?json () =
   let ols =
@@ -384,9 +375,18 @@ let run_benchmarks ?json () =
   Notty_unix.output_image (Notty_unix.eol img);
   match json with
   | None -> ()
-  | Some path ->
-      Regemu_obs.Json.to_file path (json_of_results results);
-      Fmt.pr "wrote %s@." path
+  | Some path -> (
+      let names = Test.names tests in
+      (* the micro-benchmarks fix their own seeds *)
+      match
+        Regemu_obs.Benchdoc.emit ~path
+          { bench = "micro"; rows = names; metrics = [] }
+          ~seed:0 ~smoke:false (rows names results)
+      with
+      | Ok () -> Fmt.pr "wrote %s@." path
+      | Error m ->
+          Fmt.epr "error: %s@." m;
+          exit 1)
 
 let usage () =
   Fmt.pr "usage: main.exe [all|bench|%s] [--json FILE]@."

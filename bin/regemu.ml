@@ -29,6 +29,14 @@ let exit_of = function
       Fmt.epr "error: %s@." m;
       1
 
+(* every BENCH document goes through the one writer: exit 1 on an
+   invalid document, a failed write or read-back, or a dirty row *)
+let emit_bench ?path gate ~seed ~smoke rows =
+  exit_of
+    (Result.map_error
+       (fun m -> `Msg m)
+       (Regemu_obs.Benchdoc.emit ?path gate ~seed ~smoke rows))
+
 let factories =
   [
     ("algorithm2", Regemu_core.Algorithm2.factory);
@@ -1102,8 +1110,9 @@ let live_cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the results as JSON (regemu-live-bench/1 schema; \
-                regemu-bench/2 with $(b,--saturate)).")
+          ~doc:"Also write the results as a regemu-bench/3 document (bench \
+                $(b,live), or $(b,saturate) with $(b,--saturate)), validated \
+                before the write and again from the bytes on disk.")
   in
   let saturate_arg =
     Arg.(
@@ -1133,7 +1142,7 @@ let live_cmd =
           ~doc:"Tail-latency A/B bench: baseline, unhedged, and hedged arms \
                 under a single 10x gray straggler, reporting latency \
                 percentiles per arm and the hedged-p99-over-baseline-p99 \
-                ratio (regemu-tail/1 schema with $(b,--json)).  Honours \
+                ratio (bench $(b,tail) with $(b,--json)).  Honours \
                 $(b,--algo).  With $(b,--smoke), a bounded run for CI.")
   in
   let run bench smoke saturate tail chaos algo k readers f n ops couriers
@@ -1154,28 +1163,10 @@ let live_cmd =
       | exception Invalid_argument m ->
           Fmt.epr "error: %s@." m;
           1
-      | o -> (
+      | o ->
           Fmt.pr "%a@." Tail_bench.outcome_pp o;
-          let doc = Tail_bench.to_json o in
-          match Tail_bench.validate_tail_json doc with
-          | Error m ->
-              Fmt.epr
-                "error: emitted document fails the regemu-tail/1 schema \
-                 check: %s@."
-                m;
-              1
-          | Ok () -> (
-              match Option.iter (fun path -> Json.to_file path doc) json with
-              | exception Sys_error m ->
-                  Fmt.epr "error: %s@." m;
-                  1
-              | () ->
-                  if Tail_bench.clean o then 0
-                  else (
-                    Fmt.epr
-                      "error: a tail arm failed its consistency checks or \
-                       lost operations@.";
-                    1)))
+          emit_bench ?path:json Tail_bench.gate ~seed ~smoke
+            (Tail_bench.rows o)
     else
     let specs =
       if saturate then
@@ -1204,49 +1195,18 @@ let live_cmd =
       | Some r -> r
       | None -> if saturate && not smoke then 3 else 1
     in
+    let name = if saturate then "saturate" else "live" in
     Obs_cli.with_sink ~trace ~sample ~metrics @@ fun sink ->
-    match
-      if saturate then begin
-        (* round-robin the repetitions across the whole sweep so a
-           transient machine stall cannot poison one point's reps *)
-        let outs = Live_bench.run_sweep_median ~reps ~sink specs in
-        List.iter (Fmt.pr "%a@." Live_bench.outcome_pp) outs;
-        outs
-      end
-      else
-        List.map
-          (fun spec ->
-            let o = Live_bench.run_median ~reps ~sink spec in
-            Fmt.pr "%a@." Live_bench.outcome_pp o;
-            o)
-          specs
-    with
+    match Live_bench.run_sweep_median ~reps ~sink specs with
     | exception Invalid_argument m ->
         Fmt.epr "error: %s@." m;
         1
-    | outcomes -> (
-        let doc =
-          if saturate then Live_bench.saturate_json outcomes
-          else Live_bench.to_json outcomes
-        in
-        match
-          if saturate then Live_bench.validate_bench_json doc else Ok ()
-        with
-        | Error m ->
-            Fmt.epr "error: emitted document fails the regemu-bench/2 schema \
-                     check: %s@." m;
-            1
-        | Ok () -> (
-            match Option.iter (fun path -> Json.to_file path doc) json with
-            | exception Sys_error m ->
-                Fmt.epr "error: %s@." m;
-                1
-            | () ->
-                if List.for_all Live_bench.clean outcomes then 0
-                else (
-                  Fmt.epr
-                    "error: a live run failed its online consistency checks@.";
-                  1)))
+    | outcomes ->
+        List.iter (Fmt.pr "%a@." Live_bench.outcome_pp) outcomes;
+        emit_bench ?path:json
+          (Live_bench.gate ~bench:name specs)
+          ~seed ~smoke
+          (Live_bench.rows ~bench:name outcomes)
   in
   Cmd.v
     (Cmd.info "live"
@@ -1281,9 +1241,9 @@ let compare_cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the table as JSON (regemu-compare/1 schema), \
-                validated both before the write and re-parsed from the \
-                bytes on disk.")
+          ~doc:"Also write the table as a regemu-bench/3 document (bench \
+                $(b,compare)), validated both before the write and \
+                re-parsed from the bytes on disk.")
   in
   let reps_arg =
     Arg.(
@@ -1307,50 +1267,10 @@ let compare_cmd =
     | exception Invalid_argument m ->
         Fmt.epr "error: %s@." m;
         1
-    | rows -> (
-        List.iter (Fmt.pr "%a@." Compare_bench.row_pp) rows;
-        let doc = Compare_bench.to_json ~seed ~smoke rows in
-        match Compare_bench.validate_compare_json doc with
-        | Error m ->
-            Fmt.epr
-              "error: refusing to write: emitted document fails the \
-               regemu-compare/1 schema check: %s@."
-              m;
-            1
-        | Ok () -> (
-            let persisted =
-              match json with
-              | None -> Ok ()
-              | Some path -> (
-                  match Json.to_file path doc with
-                  | exception Sys_error m -> Error m
-                  | () -> (
-                      (* re-validate what actually landed on disk, not
-                         the in-memory value we meant to write *)
-                      match Json.of_file path with
-                      | Error m ->
-                          Error (Fmt.str "read-back of %s failed: %s" path m)
-                      | Ok disk -> (
-                          match Compare_bench.validate_compare_json disk with
-                          | Error m ->
-                              Error
-                                (Fmt.str
-                                   "read-back of %s fails the schema check: \
-                                    %s"
-                                   path m)
-                          | Ok () -> Ok ())))
-            in
-            match persisted with
-            | Error m ->
-                Fmt.epr "error: %s@." m;
-                1
-            | Ok () ->
-                if Compare_bench.clean rows then 0
-                else (
-                  Fmt.epr
-                    "error: a comparison run failed its online consistency \
-                     checks or lost operations@.";
-                  1)))
+    | cells ->
+        List.iter (Fmt.pr "%a@." Compare_bench.cell_pp) cells;
+        emit_bench ?path:json (Compare_bench.gate pairs) ~seed ~smoke
+          (Compare_bench.rows cells)
   in
   Cmd.v
     (Cmd.info "compare"
@@ -1359,7 +1279,7 @@ let compare_cmd =
           multi-writer data store — at the same load points on the threads \
           and domains fabrics, and report space (measured resident cells \
           and bytes per server, plus the paper-side formula), throughput, \
-          and latency side by side (regemu-compare/1 schema with \
+          and latency side by side (bench $(b,compare) with \
           $(b,--json)).")
     Term.(
       const run $ smoke_arg $ json_arg $ seed_arg $ reps_arg
@@ -1856,8 +1776,9 @@ let keyspace_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Write the trajectory as JSON (regemu-keyspace/1 schema), \
-             validated before the write.")
+            "Write the trajectory as a regemu-bench/3 document (bench \
+             $(b,keyspace)), validated before the write and again from \
+             the bytes on disk.")
   in
   let quiet_arg =
     Arg.(
@@ -1912,36 +1833,10 @@ let keyspace_cmd =
     | exception Invalid_argument m ->
         Fmt.epr "error: %s@." m;
         1
-    | outcome -> (
+    | outcome ->
         Fmt.pr "%a@." Kbench.outcome_pp outcome;
-        let doc = Kbench.to_json outcome in
-        match Kbench.validate_keyspace_json doc with
-        | Error m ->
-            Fmt.epr "error: refusing to write invalid %s document: %s@."
-              Kbench.schema m;
-            1
-        | Ok () -> (
-            match Option.iter (fun path -> Json.to_file path doc) json with
-            | exception Sys_error m ->
-                Fmt.epr "error: %s@." m;
-                1
-            | () ->
-                let bad =
-                  List.filter
-                    (fun s ->
-                      s.Kbench.violations > 0
-                      || s.Kbench.deep_mismatches > 0
-                      || not s.Kbench.within_budget)
-                    outcome.Kbench.skews
-                in
-                if bad = [] then 0
-                else begin
-                  Fmt.epr
-                    "error: %d skew(s) failed (violations, deep mismatch, \
-                     or over budget)@."
-                    (List.length bad);
-                  1
-                end))
+        emit_bench ?path:json (Kbench.gate spec) ~seed ~smoke
+          (Kbench.rows outcome)
   in
   Cmd.v
     (Cmd.info "keyspace"

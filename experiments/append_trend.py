@@ -3,8 +3,8 @@
 
 Usage: append_trend.py EXPERIMENT RESULT_JSON TREND_JSON
 
-Reads the experiment's result (regemu-cgfuzz/1, regemu-cert/1, or
-regemu-keyspace/1), distills the few numbers worth tracking over time,
+Reads the experiment's result (regemu-cgfuzz/1, regemu-cert/1, or a
+regemu-bench/3 keyspace document), distills the few numbers worth tracking over time,
 and appends a regemu-explore-trend/1 record to TREND_JSON (a JSON
 array, created on first use) kept beside BENCH_live.json.  If an
 elapsed_s.txt sits next to the result (written by `make run`), rates
@@ -47,8 +47,8 @@ def metrics_of(doc, elapsed):
             "max_depth": doc["max_depth"],
             "exhaustive": doc["exhaustive"],
         }
-    if schema == "regemu-keyspace/1":
-        skews = doc["skews"]
+    if schema == "regemu-bench/3" and doc["manifest"]["bench"] == "keyspace":
+        skews = [r["metrics"] for r in doc["rows"]]
         return {
             "skews": len(skews),
             "completed": sum(s["completed"] for s in skews),

@@ -1,5 +1,6 @@
 open Regemu_live
 module Json = Regemu_obs.Json
+module Benchdoc = Regemu_obs.Benchdoc
 
 type spec = {
   algo : Algo.t;
@@ -146,109 +147,68 @@ let run ?(quiet = true) ?(sink = Sink.none) spec =
          (Algo.name spec.algo));
   { spec; skews = List.map (run_skew ~quiet ~sink spec) spec.zipfs }
 
-let schema = "regemu-keyspace/1"
+let row_name zipf = Fmt.str "zipf=%g" zipf
 
-let spec_json s =
-  Json.Obj
-    [
-      ("algo", Json.Str (Algo.name s.algo));
-      ("n", Json.Int s.n);
-      ("f", Json.Int s.f);
-      ("keys", Json.Int s.keys);
-      ("arrival_rate", Json.Float s.arrival_rate);
-      ("total_ops", Json.Int s.total_ops);
-      ("window", Json.Int s.window);
-      ("write_fraction", Json.Float s.write_fraction);
-      ("seed", Json.Int s.seed);
-      ("deep_sample", Json.Int s.deep_sample);
-      ("budget_ops", Json.Int s.budget_ops);
-      ("backend", Json.Str (Transport.backend_name s.backend));
-    ]
+let skew_clean (o : skew_outcome) =
+  o.violations = 0 && o.deep_mismatches = 0 && o.within_budget
 
-let skew_json (o : skew_outcome) =
-  Json.Obj
-    [
-      ("zipf", Json.Float o.zipf);
-      ("ops_per_s", Json.Float o.ops_per_s);
-      ("completed", Json.Int o.completed);
-      ("failed", Json.Int o.failed);
-      ("elapsed_s", Json.Float o.elapsed_s);
-      ("max_lateness_s", Json.Float o.max_lateness_s);
-      ("checks", Json.Int o.checks);
-      ("violations", Json.Int o.violations);
-      ("settled_writes", Json.Int o.settled_writes);
-      ("max_resident_ops", Json.Int o.max_resident_ops);
-      ("within_budget", Json.Bool o.within_budget);
-      ("server_cells_max", Json.Int o.server_cells_max);
-      ("server_cells_total", Json.Int o.server_cells_total);
-      ("deep_keys", Json.Int o.deep_keys);
-      ("deep_mismatches", Json.Int o.deep_mismatches);
-    ]
+let rows o =
+  let s = o.spec in
+  List.map
+    (fun (k : skew_outcome) ->
+      {
+        Benchdoc.name = row_name k.zipf;
+        params =
+          [
+            ("algo", Json.Str (Algo.name s.algo));
+            ("backend", Json.Str (Transport.backend_name s.backend));
+            ("n", Json.Int s.n);
+            ("f", Json.Int s.f);
+            ("keys", Json.Int s.keys);
+            ("zipf", Json.Float k.zipf);
+            ("arrival_rate", Json.Float s.arrival_rate);
+            ("total_ops", Json.Int s.total_ops);
+            ("window", Json.Int s.window);
+            ("write_fraction", Json.Float s.write_fraction);
+            ("deep_sample", Json.Int s.deep_sample);
+            ("budget_ops", Json.Int s.budget_ops);
+            ("seed", Json.Int s.seed);
+          ];
+        metrics =
+          [
+            ("ops_per_s", Json.Float k.ops_per_s);
+            ("completed", Json.Int k.completed);
+            ("failed", Json.Int k.failed);
+            ("elapsed_s", Json.Float k.elapsed_s);
+            ("max_lateness_s", Json.Float k.max_lateness_s);
+            ("checks", Json.Int k.checks);
+            ("violations", Json.Int k.violations);
+            ("settled_writes", Json.Int k.settled_writes);
+            ("max_resident_ops", Json.Int k.max_resident_ops);
+            ("within_budget", Json.Bool k.within_budget);
+            ("server_cells_max", Json.Int k.server_cells_max);
+            ("server_cells_total", Json.Int k.server_cells_total);
+            ("deep_keys", Json.Int k.deep_keys);
+            ("deep_mismatches", Json.Int k.deep_mismatches);
+          ];
+        clean = skew_clean k;
+      })
+    o.skews
 
-let to_json o =
-  Json.Obj
-    [
-      ("schema", Json.Str schema);
-      ("spec", spec_json o.spec);
-      ("skews", Json.List (List.map skew_json o.skews));
-    ]
-
-(* structural validation, PR 3 style: reject before persisting *)
-let validate_keyspace_json doc =
-  let ( let* ) = Result.bind in
-  let err fmt = Fmt.kstr Result.error fmt in
-  let* () =
-    match Json.member "schema" doc with
-    | Some (Json.Str s) when s = schema -> Ok ()
-    | Some (Json.Str s) -> err "schema mismatch: %S, wanted %S" s schema
-    | _ -> err "missing schema tag"
-  in
-  let* () =
-    match Json.member "spec" doc with
-    | Some (Json.Obj _ as s) -> (
-        match
-          ( Option.bind (Json.member "keys" s) Json.to_int_opt,
-            Option.bind (Json.member "budget_ops" s) Json.to_int_opt )
-        with
-        | Some keys, Some budget when keys > 0 && budget > 0 -> (
-            match
-              Option.bind
-                (Option.bind (Json.member "algo" s) Json.to_str_opt)
-                Algo.of_name
-            with
-            | Some _ -> Ok ()
-            | None -> err "spec: missing or unknown algo")
-        | _ -> err "spec: missing or non-positive keys/budget_ops")
-    | _ -> err "missing spec object"
-  in
-  let* skews =
-    match Option.bind (Json.member "skews" doc) Json.to_list_opt with
-    | Some [] -> err "skews: empty"
-    | Some l -> Ok l
-    | None -> err "missing skews list"
-  in
-  let check_skew i sk =
-    let int k = Option.bind (Json.member k sk) Json.to_int_opt in
-    let flt k = Option.bind (Json.member k sk) Json.to_float_opt in
-    let bol k = Option.bind (Json.member k sk) Json.to_bool_opt in
-    match (flt "zipf", flt "ops_per_s", int "completed", int "checks") with
-    | Some _, Some ops, Some completed, Some checks ->
-        if ops < 0.0 || completed < 0 || checks < 0 then
-          err "skews[%d]: negative measure" i
-        else if int "violations" = None || int "max_resident_ops" = None then
-          err "skews[%d]: missing checker fields" i
-        else if bol "within_budget" = None then
-          err "skews[%d]: missing within_budget" i
-        else Ok ()
-    | _ -> err "skews[%d]: missing zipf/ops_per_s/completed/checks" i
-  in
-  let rec go i = function
-    | [] -> Ok ()
-    | sk :: rest ->
-        let* () = check_skew i sk in
-        go (i + 1) rest
-  in
-  go 0 skews
+let gate spec =
+  {
+    Benchdoc.bench = "keyspace";
+    rows = List.map row_name spec.zipfs;
+    metrics =
+      [
+        ("ops_per_s", Benchdoc.Num);
+        ("completed", Benchdoc.Num);
+        ("checks", Benchdoc.Num);
+        ("violations", Benchdoc.Num);
+        ("max_resident_ops", Benchdoc.Num);
+        ("within_budget", Benchdoc.Bool);
+      ];
+  }
 
 let outcome_pp ppf o =
   Fmt.pf ppf "keyspace bench: n=%d f=%d keys=%d ops=%d window=%d" o.spec.n

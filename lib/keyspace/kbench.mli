@@ -1,5 +1,5 @@
-(** The keyspace benchmark: one open-loop run per zipf skew, emitting
-    the [regemu-keyspace/1] JSON trajectory.
+(** The keyspace benchmark: one open-loop run per zipf skew, one bench
+    row per skew.
 
     Each skew gets a fresh cluster, keyspace, and memory-bounded
     checker; the outcome records throughput, per-key server space
@@ -57,14 +57,16 @@ type outcome = { spec : spec; skews : skew_outcome list }
     [spec.algo] is not [Abd] (the only algorithm with a keyed form). *)
 val run : ?quiet:bool -> ?sink:Regemu_live.Sink.t -> spec -> outcome
 
-val schema : string
-(** ["regemu-keyspace/1"] *)
+(** One {!Regemu_obs.Benchdoc} row per skew, named ["zipf=%g"] (e.g.
+    ["zipf=0.99"]): the spec and the skew as
+    [params], the {!skew_outcome} fields as [metrics].  A row is clean
+    when the checker found no violation and no deep mismatch and stayed
+    within budget. *)
+val rows : outcome -> Regemu_obs.Benchdoc.row list
 
-val to_json : outcome -> Regemu_obs.Json.t
-
-(** Structural check of a [regemu-keyspace/1] document — run before
-    every write of BENCH_keyspace.json, so a malformed trajectory is
-    rejected instead of persisted. *)
-val validate_keyspace_json : Regemu_obs.Json.t -> (unit, string) result
+(** Bench ["keyspace"]: one row per [spec.zipfs] entry, in order, each
+    with numeric [ops_per_s], [completed], [checks], [violations] and
+    [max_resident_ops] and a boolean [within_budget]. *)
+val gate : spec -> Regemu_obs.Benchdoc.gate
 
 val outcome_pp : outcome Fmt.t

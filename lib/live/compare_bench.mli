@@ -3,8 +3,8 @@
     ({!Cds_live}, arXiv:1508.03762), raced on the same live cluster at
     the same load points and reported side by side.
 
-    Each row of the emitted [regemu-compare/1] document is one
-    (algorithm, backend, load point) cell carrying measured throughput,
+    Each row of the emitted bench document is one (algorithm, backend,
+    load point) cell carrying measured throughput,
     latency percentiles, the resident-space maxima sampled from the
     server stores ({!Cluster.resident_space}), and the paper-side
     predicted cluster-wide cell count for that configuration:
@@ -56,28 +56,21 @@ val specs :
 (** {!specs} restricted to {!smoke_loads} at 25 ops per client. *)
 val smoke_specs : seed:int -> unit -> (load * Live_bench.spec) list
 
-type row = { load : load; outcome : Live_bench.outcome }
+type cell = { load : load; outcome : Live_bench.outcome }
 
 (** Run the matrix through {!Live_bench.run_sweep_median} and zip the
     load points back on.  Default [reps = 1]; pass [reps = 3] for the
     committed table. *)
 val run :
-  ?sink:Sink.t -> ?reps:int -> (load * Live_bench.spec) list -> row list
+  ?sink:Sink.t -> ?reps:int -> (load * Live_bench.spec) list -> cell list
 
-(** Every row's outcome is {!Live_bench.clean}. *)
-val clean : row list -> bool
+val cell_pp : cell Fmt.t
 
-val row_pp : row Fmt.t
+(** One {!Live_bench.row} per cell, named ["algo/backend/load"] (e.g.
+    ["cds/domains/k6-f2"]), with the load label added to its
+    [params]. *)
+val rows : cell list -> Regemu_obs.Benchdoc.row list
 
-(** The [regemu-compare/1] document: schema id, seed, smoke flag,
-    one row per (algorithm, backend, load), and an overall [clean]
-    verdict. *)
-val to_json : seed:int -> smoke:bool -> row list -> Regemu_obs.Json.t
-
-(** Structural validation of a [regemu-compare/1] document — applied
-    both to the document about to be written and to the bytes read
-    back from disk: schema id, non-empty rows, known algorithm and
-    backend names, numeric measurement fields, boolean [clean], and
-    full coverage (exactly one row per algorithm × backend for every
-    load label present — a missing or duplicated cell is an error). *)
-val validate_compare_json : Regemu_obs.Json.t -> (unit, string) result
+(** Bench ["compare"]: exactly one row per (load, spec) pair, in
+    order, each with {!Live_bench.metrics}. *)
+val gate : (load * Live_bench.spec) list -> Regemu_obs.Benchdoc.gate

@@ -1,4 +1,5 @@
 module Json = Regemu_obs.Json
+module Benchdoc = Regemu_obs.Benchdoc
 
 type spec = {
   algo : Algo.t;
@@ -182,42 +183,33 @@ let run ?(sink = Sink.none) spec =
     check;
   }
 
-(* Single-core thread-pipeline throughput is noisy (scheduler +
-   machine-neighbour effects, easily ±30% run to run); the saturation
-   numbers are medians so one unlucky run doesn't masquerade as a
-   regression.  The median outcome is kept whole — its latency
-   percentiles belong to the run whose throughput is reported. *)
-let run_median ?(reps = 1) ?sink spec =
-  if reps < 1 then invalid_arg "run_median: reps must be >= 1";
-  let outcomes = List.init reps (fun _ -> run ?sink spec) in
-  let sorted =
-    List.sort (fun a b -> Float.compare a.throughput b.throughput) outcomes
-  in
-  (* any dirty rep disqualifies the point: surface the first dirty one
-     so [clean] reports the failure rather than a lucky median *)
-  match List.find_opt (fun o -> not (clean o)) outcomes with
-  | Some bad -> bad
-  | None -> List.nth sorted (reps / 2)
-
-(* Same defence, for a whole sweep: run the spec list [reps] times
-   round-robin and keep each spec's median.  A machine stall lasting a
-   few seconds poisons every back-to-back repetition of one point but
-   only one round-robin pass of each, so the medians survive it. *)
-let run_sweep_median ?(reps = 1) ?sink specs =
-  if reps < 1 then invalid_arg "run_sweep_median: reps must be >= 1";
-  let rounds = List.init reps (fun _ -> List.map (run ?sink) specs) in
+(* The one repetition rule, for sweeps and tail arms alike: run [xs]
+   [reps] times round-robin ([run i x] in round [i]) and keep each x's
+   median-by-[key] outcome.  A machine stall lasting a few seconds
+   poisons every back-to-back repetition of one point but only one
+   round-robin pass of each, so the medians survive it.  Any dirty rep
+   disqualifies its point: the first dirty one is kept, so the failure
+   surfaces instead of a lucky median.  The median outcome is kept
+   whole — its latency percentiles belong to the run whose key is
+   reported. *)
+let median_reps ~reps ~clean ~key run xs =
+  if reps < 1 then invalid_arg "median_reps: reps must be >= 1";
+  let rounds = List.init reps (fun i -> List.map (run i) xs) in
   List.mapi
-    (fun i _ ->
-      let outs = List.map (fun round -> List.nth round i) rounds in
+    (fun j _ ->
+      let outs = List.map (fun round -> List.nth round j) rounds in
       match List.find_opt (fun o -> not (clean o)) outs with
       | Some bad -> bad
       | None ->
           let sorted =
-            List.sort
-              (fun a b -> Float.compare a.throughput b.throughput)
-              outs
+            List.sort (fun a b -> Float.compare (key a) (key b)) outs
           in
           List.nth sorted (reps / 2))
+    xs
+
+let run_sweep_median ?(reps = 1) ?sink specs =
+  median_reps ~reps ~clean ~key:(fun o -> o.throughput)
+    (fun _ s -> run ?sink s)
     specs
 
 let suite ?(ops_per_client = 150) ~seed () =
@@ -249,70 +241,6 @@ let smoke_suite ?(backend = Transport.Threads) () =
       ops_per_client = 40;
     };
   ]
-
-let spec_json s =
-  Json.Obj
-    [
-      ("algo", Json.Str (Algo.name s.algo));
-      ("writers", Json.Int s.k);
-      ("readers", Json.Int s.readers);
-      ("f", Json.Int s.f);
-      ("n", Json.Int s.n);
-      ("ops_per_client", Json.Int s.ops_per_client);
-      ("couriers", Json.Int s.couriers);
-      ("chaos", Json.Bool s.chaos);
-      ("reorder", Json.Bool s.reorder);
-      ("backend", Json.Str (Transport.backend_name s.backend));
-      ("seed", Json.Int s.seed);
-    ]
-
-let outcome_json o =
-  let pct name p =
-    ( name,
-      Json.Float
-        (try List.assoc p o.pcts_us with Not_found -> 0.0) )
-  in
-  Json.Obj
-    [
-      ("spec", spec_json o.spec);
-      ("ops", Json.Int o.ops);
-      ("wall_s", Json.Float o.wall_s);
-      ("ops_per_s", Json.Float o.throughput);
-      ("latency_mean_us", Json.Float o.mean_us);
-      pct "latency_p50_us" 0.50;
-      pct "latency_p95_us" 0.95;
-      pct "latency_p99_us" 0.99;
-      ("msgs_sent", Json.Int o.msgs_sent);
-      ("msgs_delivered", Json.Int o.msgs_delivered);
-      ("msgs_duplicated", Json.Int o.msgs_duplicated);
-      ("msgs_delayed", Json.Int o.msgs_delayed);
-      ("msgs_dropped", Json.Int o.msgs_dropped);
-      ("msgs_cut", Json.Int o.msgs_cut);
-      ("crashes", Json.Int o.crashes);
-      ("restarts", Json.Int o.restarts);
-      ("retries", Json.Int o.retries);
-      ("unavailable", Json.Int o.unavailable);
-      ("space_resident_cells", Json.Int o.space_cells);
-      ("space_resident_bytes", Json.Int o.space_bytes);
-      ("space_cells_total", Json.Int o.space_cells_total);
-      ("online_checks", Json.Int o.check.Checker.checks);
-      ( "ws_regular",
-        Json.Str
-          (Fmt.str "%a" Regemu_history.Ws_check.verdict_pp o.check.Checker.ws)
-      );
-      ( "atomic",
-        match o.check.Checker.atomic with
-        | None -> Json.Null
-        | Some b -> Json.Bool b );
-      ("clean", Json.Bool (clean o));
-    ]
-
-let to_json outcomes =
-  Json.Obj
-    [
-      ("schema", Json.Str "regemu-live-bench/1");
-      ("results", Json.List (List.map outcome_json outcomes));
-    ]
 
 (* --- saturation mode ---------------------------------------------------- *)
 
@@ -367,166 +295,101 @@ let saturate_ab_specs ?(clients = saturate_ab_clients)
         saturate_ab_backends)
     clients
 
-(* Throughput of the pre-sharding runtime on the reference machine
-   (same spec shape: quiet, reorder off, ops_per_client 200, seed 42),
-   recorded before the lane rewrite so BENCH_live.json carries its own
-   before/after evidence.  Each value is the median of repeated runs of
-   the old binary, interleaved with runs of the new one on the same
-   machine state — the single-core box drifts ±30% between sessions,
-   and only interleaved medians make the speedup column meaningful.
-   (algo, clients, ops/s.) *)
-let seed_baseline_ops_s =
-  [
-    (Algo.Abd, 2, 14104.); (Algo.Abd, 4, 23420.); (Algo.Abd, 8, 28595.);
-    (Algo.Abd, 16, 30275.); (Algo.Alg2, 2, 14220.); (Algo.Alg2, 4, 20270.);
-    (Algo.Alg2, 8, 29999.); (Algo.Alg2, 16, 31118.);
-  ]
+(* --- bench rows ------------------------------------------------------- *)
 
-let clients_of_spec s = s.k + s.readers
+let pct o p = try List.assoc p o.pcts_us with Not_found -> 0.0
 
-(* regemu-bench/2: the [backend] column arrives, the never-populated
-   [r_square] column of /1 is gone (the live sweep has no regression
-   fit; the micro-bench emitter in bench/main.ml, which does, stays on
-   /1), and non-threads rows carry [speedup_vs_threads] against the
-   same-algo same-clients threads row of the same document. *)
-let saturate_json outcomes =
-  let threads_row algo clients =
-    List.find_opt
-      (fun o ->
-        o.spec.algo = algo
-        && o.spec.backend = Transport.Threads
-        && clients_of_spec o.spec = clients)
-      outcomes
-  in
-  let bench o =
-    let clients = clients_of_spec o.spec in
-    let pct p = try List.assoc p o.pcts_us with Not_found -> 0.0 in
-    let baseline =
-      (* the pre-sharding baseline was recorded on the threaded
-         runtime: it is only an apples-to-apples column there *)
-      if o.spec.backend <> Transport.Threads then None
-      else
+let row_name ~bench s =
+  String.concat "/"
+    ([ bench; Algo.name s.algo; Transport.backend_name s.backend ]
+    @ (if s.chaos then [ "chaos" ] else [])
+    @ [ Fmt.str "clients=%d" (s.k + s.readers) ])
+
+let row ~name o =
+  let s = o.spec in
+  {
+    Benchdoc.name;
+    params =
+      [
+        ("algo", Json.Str (Algo.name s.algo));
+        ("backend", Json.Str (Transport.backend_name s.backend));
+        ("writers", Json.Int s.k);
+        ("readers", Json.Int s.readers);
+        ("clients", Json.Int (s.k + s.readers));
+        ("f", Json.Int s.f);
+        ("n", Json.Int s.n);
+        ("ops_per_client", Json.Int s.ops_per_client);
+        ("couriers", Json.Int s.couriers);
+        ("chaos", Json.Bool s.chaos);
+        ("reorder", Json.Bool s.reorder);
+        ("seed", Json.Int s.seed);
+      ];
+    metrics =
+      [
+        ("ops", Json.Int o.ops);
+        ("wall_s", Json.Float o.wall_s);
+        ("ops_per_s", Json.Float o.throughput);
+        ("latency_mean_us", Json.Float o.mean_us);
+        ("latency_p50_us", Json.Float (pct o 0.50));
+        ("latency_p95_us", Json.Float (pct o 0.95));
+        ("latency_p99_us", Json.Float (pct o 0.99));
+        ("msgs_sent", Json.Int o.msgs_sent);
+        ("msgs_delivered", Json.Int o.msgs_delivered);
+        ("msgs_duplicated", Json.Int o.msgs_duplicated);
+        ("msgs_delayed", Json.Int o.msgs_delayed);
+        ("msgs_dropped", Json.Int o.msgs_dropped);
+        ("msgs_cut", Json.Int o.msgs_cut);
+        ("crashes", Json.Int o.crashes);
+        ("restarts", Json.Int o.restarts);
+        ("retries", Json.Int o.retries);
+        ("unavailable", Json.Int o.unavailable);
+        ("space_resident_cells", Json.Int o.space_cells);
+        ("space_resident_bytes", Json.Int o.space_bytes);
+        ("space_cells_total", Json.Int o.space_cells_total);
+        ( "space_formula_cells_total",
+          Json.Int (Algo.cells s.algo ~k:s.k ~f:s.f ~n:s.n) );
+        ("online_checks", Json.Int o.check.Checker.checks);
+        ( "ws_regular",
+          Json.Str
+            (Fmt.str "%a" Regemu_history.Ws_check.verdict_pp o.check.Checker.ws)
+        );
+        ( "atomic",
+          match o.check.Checker.atomic with
+          | None -> Json.Null
+          | Some b -> Json.Bool b );
+      ];
+    clean = clean o;
+  }
+
+(* a non-threads row's ratio against the threads row of the same point
+   in the same run *)
+let rows ~bench outcomes =
+  List.map
+    (fun o ->
+      let r = row ~name:(row_name ~bench o.spec) o in
+      match
         List.find_opt
-          (fun (a, c, _) -> a = o.spec.algo && c = clients)
-          seed_baseline_ops_s
-    in
-    Json.Obj
-      ([
-         ( "name",
-           Json.Str
-             (Fmt.str "saturate/%s/%s/clients=%d" (Algo.name o.spec.algo)
-                (Transport.backend_name o.spec.backend)
-                clients) );
-         ("measure", Json.Str "throughput");
-         ("backend", Json.Str (Transport.backend_name o.spec.backend));
-         (* ns per completed operation, the schema's canonical unit *)
-         ( "ns_per_run",
-           if o.throughput > 0.0 then Json.Float (1e9 /. o.throughput)
-           else Json.Null );
-         ("clients", Json.Int clients);
-         ("ops", Json.Int o.ops);
-         ("ops_per_s", Json.Float o.throughput);
-         ("latency_p50_us", Json.Float (pct 0.50));
-         ("latency_p95_us", Json.Float (pct 0.95));
-         ("latency_p99_us", Json.Float (pct 0.99));
-         ("space_resident_cells", Json.Int o.space_cells);
-         ("space_resident_bytes", Json.Int o.space_bytes);
-         ("clean", Json.Bool (clean o));
-       ]
-      @ (match
-           if o.spec.backend = Transport.Threads then None
-           else threads_row o.spec.algo clients
-         with
-        | None -> []
-        | Some th ->
-            [
-              ( "speedup_vs_threads",
-                if th.throughput > 0.0 then
-                  Json.Float (o.throughput /. th.throughput)
-                else Json.Null );
-            ])
-      @
-      match baseline with
-      | None -> []
-      | Some (_, _, b) ->
-          [
-            ("baseline_ops_per_s", Json.Float b);
-            ( "speedup",
-              if b > 0.0 then Json.Float (o.throughput /. b) else Json.Null );
-          ])
-  in
-  Json.Obj
+          (fun t -> t.spec = { o.spec with backend = Transport.Threads })
+          outcomes
+      with
+      | Some th when o.spec.backend <> Transport.Threads && th.throughput > 0.0
+        ->
+          let speedup = o.throughput /. th.throughput in
+          {
+            r with
+            metrics = r.metrics @ [ ("speedup_vs_threads", Json.Float speedup) ];
+          }
+      | _ -> r)
+    outcomes
+
+let metrics =
+  List.map
+    (fun k -> (k, Benchdoc.Num))
     [
-      ("schema", Json.Str "regemu-bench/2");
-      ("benchmarks", Json.List (List.map bench outcomes));
+      "ops_per_s"; "latency_p50_us"; "latency_p95_us"; "latency_p99_us";
+      "space_resident_cells"; "space_resident_bytes"; "space_cells_total";
+      "space_formula_cells_total";
     ]
 
-let backend_names = List.map Transport.backend_name saturate_ab_backends
-
-(* Structural check of the regemu-bench/2 document, run before every
-   write: catches a schema drift before a dashboard does.  /2 requires
-   a valid [backend] on every row and rejects a lingering [r_square]
-   (always null in /1, dropped rather than carried dead). *)
-let validate_bench_json json =
-  let ( let* ) = Result.bind in
-  let field name = function
-    | Json.Obj kvs -> (
-        match List.assoc_opt name kvs with
-        | Some v -> Ok v
-        | None -> Error (Fmt.str "missing field %S" name))
-    | _ -> Error "expected an object"
-  in
-  let* schema = field "schema" json in
-  let* () =
-    match schema with
-    | Json.Str "regemu-bench/2" -> Ok ()
-    | Json.Str s -> Error (Fmt.str "bad schema %S" s)
-    | _ -> Error "schema must be a string"
-  in
-  let* benchmarks = field "benchmarks" json in
-  let* bs =
-    match benchmarks with
-    | Json.List bs -> Ok bs
-    | _ -> Error "benchmarks must be a list"
-  in
-  List.fold_left
-    (fun acc b ->
-      let* () = acc in
-      let* name = field "name" b in
-      let* () =
-        match name with
-        | Json.Str _ -> Ok ()
-        | _ -> Error "name must be a string"
-      in
-      let* measure = field "measure" b in
-      let* () =
-        match measure with
-        | Json.Str _ -> Ok ()
-        | _ -> Error "measure must be a string"
-      in
-      let* backend = field "backend" b in
-      let* () =
-        match backend with
-        | Json.Str s when List.mem s backend_names -> Ok ()
-        | Json.Str s -> Error (Fmt.str "unknown backend %S" s)
-        | _ -> Error "backend must be a string"
-      in
-      let* () =
-        match b with
-        | Json.Obj kvs when List.mem_assoc "r_square" kvs ->
-            Error "r_square was dropped in regemu-bench/2"
-        | _ -> Ok ()
-      in
-      let numeric what = function
-        | Json.Float _ | Json.Int _ | Json.Null -> Ok ()
-        | _ -> Error (Fmt.str "%s must be a number or null" what)
-      in
-      let* ns = field "ns_per_run" b in
-      let* () = numeric "ns_per_run" ns in
-      match b with
-      | Json.Obj kvs -> (
-          match List.assoc_opt "speedup_vs_threads" kvs with
-          | Some v -> numeric "speedup_vs_threads" v
-          | None -> Ok ())
-      | _ -> Ok ())
-    (Ok ()) bs
+let gate ~bench specs =
+  { Benchdoc.bench; rows = List.map (row_name ~bench) specs; metrics }

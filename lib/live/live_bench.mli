@@ -67,19 +67,23 @@ val outcome_pp : outcome Fmt.t
     across the runs Prometheus-style. *)
 val run : ?sink:Sink.t -> spec -> outcome
 
-(** [run_median ~reps spec] runs [spec] [reps] times and keeps the
-    median-throughput outcome — the saturation sweep's defence against
-    single-core scheduler noise.  A rep that is not {!clean} is
-    returned instead, so failures are never averaged away.  Default
-    [reps = 1].  [sink] spans every rep (see {!run}). *)
-val run_median : ?reps:int -> ?sink:Sink.t -> spec -> outcome
+(** [median_reps ~reps ~clean ~key run xs] runs every [x] of [xs]
+    [reps] times, round-robin over the list ([run i x] in round [i]),
+    and keeps each [x]'s median-by-[key] outcome — a point's
+    repetitions are spread across the sweep, so a transient machine
+    stall cannot poison all of them at once.  The first repetition that
+    is not [clean] is kept instead, so failures are never averaged
+    away.  Raises [Invalid_argument] if [reps < 1]. *)
+val median_reps :
+  reps:int ->
+  clean:('o -> bool) ->
+  key:('o -> float) ->
+  (int -> 'x -> 'o) ->
+  'x list ->
+  'o list
 
-(** [run_sweep_median ~reps specs] runs the whole list [reps] times
-    round-robin and keeps each spec's median-throughput outcome — a
-    point's repetitions are spread across the sweep, so a transient
-    machine stall cannot poison all of them at once.  A rep that is
-    not {!clean} is surfaced instead.  Default [reps = 1].  [sink]
-    spans the whole sweep (see {!run}). *)
+(** {!median_reps} over {!run}, keyed by throughput.  Default
+    [reps = 1].  [sink] spans the whole sweep (see {!run}). *)
 val run_sweep_median : ?reps:int -> ?sink:Sink.t -> spec list -> outcome list
 
 (** The standard suite: quiet and chaos runs of each algorithm. *)
@@ -92,16 +96,12 @@ val suite : ?ops_per_client:int -> seed:int -> unit -> spec list
     would rightly flag it. *)
 val smoke_suite : ?backend:Transport.backend -> unit -> spec list
 
-(** The [regemu-live-bench/1] document: schema id, specs, and results. *)
-val to_json : outcome list -> Regemu_obs.Json.t
-
 (** {2 Saturation mode}
 
     The perf-trajectory benchmark: sweep client-thread counts at fixed
     [k = 1], [readers = clients - 1], [f = 1], [n = 3] on a quiet,
     non-reordering transport (peak pipeline), and report ops/s and
-    latency percentiles per point, against the recorded pre-sharding
-    baseline. *)
+    latency percentiles per point. *)
 
 (** One saturation point.  Raises [Invalid_argument] if [clients < 2]. *)
 val saturate_spec :
@@ -141,19 +141,24 @@ val saturate_ab_backends : Transport.backend list
 val saturate_ab_specs :
   ?clients:int list -> ?ops_per_client:int -> seed:int -> unit -> spec list
 
-(** Pre-sharding throughput on the reference machine, [(algo, clients,
-    ops/s)] — the "before" column baked into the emitted document. *)
-val seed_baseline_ops_s : (Algo.t * int * float) list
+(** {2 Bench rows} *)
 
-(** The [BENCH_live.json] document in the [regemu-bench/2] schema:
-    one benchmark entry per outcome ([ns_per_run] = ns per completed
-    op) with throughput, percentiles, and a [backend] column; a
-    non-threads row carries [speedup_vs_threads] against the
-    same-algo same-clients threads row, a threads row the recorded
-    pre-sharding [baseline_ops_per_s]/[speedup] extras. *)
-val saturate_json : outcome list -> Regemu_obs.Json.t
+(** One {!Regemu_obs.Benchdoc} row: the spec as [params]; throughput,
+    latency percentiles, message and fault counts, resident space and
+    its paper-side formula ([space_formula_cells_total], {!Algo.cells}),
+    and the checker verdicts as [metrics]; [clean] is {!clean}. *)
+val row : name:string -> outcome -> Regemu_obs.Benchdoc.row
 
-(** Structural validation of a [regemu-bench/2] document: schema id,
-    a valid [backend] on every row, numeric [ns_per_run], and no
-    lingering [r_square] (dropped in /2). *)
-val validate_bench_json : Regemu_obs.Json.t -> (unit, string) result
+(** One {!row} per outcome, named
+    ["BENCH/algo/backend[/chaos]/clients=N"] (e.g.
+    ["saturate/abd/threads/clients=16"]); a non-threads row whose
+    same-point threads row is in the list also carries
+    [speedup_vs_threads]. *)
+val rows : bench:string -> outcome list -> Regemu_obs.Benchdoc.row list
+
+(** The metrics every live row must carry, all numeric. *)
+val metrics : (string * Regemu_obs.Benchdoc.kind) list
+
+(** The gate for a run of [specs]: one row per spec, named as in
+    {!rows}, in order, each with {!metrics}. *)
+val gate : bench:string -> spec list -> Regemu_obs.Benchdoc.gate

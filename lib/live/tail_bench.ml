@@ -1,4 +1,5 @@
 module Json = Regemu_obs.Json
+module Benchdoc = Regemu_obs.Benchdoc
 
 type spec = {
   algo : Algo.t;
@@ -54,6 +55,8 @@ let arm_name = function
   | Unhedged -> "unhedged"
   | Hedged -> "hedged"
 
+let arms = [ Baseline; Unhedged; Hedged ]
+
 type arm_outcome = {
   arm : arm;
   ops : int;
@@ -72,8 +75,6 @@ type outcome = { spec : spec; arms : arm_outcome list }
 
 let arm_clean s a =
   Checker.ok a.check && a.ops = (1 + s.readers) * s.ops_per_client
-
-let clean o = List.for_all (arm_clean o.spec) o.arms
 
 let pct o p = try List.assoc p o.pcts_us with Not_found -> 0.0
 
@@ -168,33 +169,16 @@ let run_arm ?(sink = Sink.none) s arm =
   }
 
 (* Single-core thread scheduling injects multi-millisecond hiccups
-   into any arm's p99 (the same noise live_bench medians out), so the
-   reported arms are per-arm medians-by-p99 over [reps] interleaved
-   rounds — a transient machine stall poisons one round of each arm,
-   never all of one arm's reps.  A dirty rep disqualifies the arm
-   whole, surfacing the failure instead of a lucky median. *)
+   into any arm's p99, so each reported arm is its median-by-p99 over
+   [reps] interleaved rounds ({!Live_bench.median_reps}); round [i]
+   runs at seed [seed + 1000 i]. *)
 let run ?sink ?(reps = 1) s =
   validate_spec s;
-  if reps < 1 then invalid_arg "Tail_bench: reps must be >= 1";
-  let order = [ Baseline; Unhedged; Hedged ] in
-  let rounds =
-    List.init reps (fun i ->
-        List.map (run_arm ?sink { s with seed = s.seed + (1000 * i) }) order)
-  in
   let arms =
-    List.mapi
-      (fun i _ ->
-        let outs = List.map (fun round -> List.nth round i) rounds in
-        match List.find_opt (fun a -> not (arm_clean s a)) outs with
-        | Some bad -> bad
-        | None ->
-            let sorted =
-              List.sort
-                (fun a b -> Float.compare (pct a 0.99) (pct b 0.99))
-                outs
-            in
-            List.nth sorted (reps / 2))
-      order
+    Live_bench.median_reps ~reps ~clean:(arm_clean s)
+      ~key:(fun a -> pct a 0.99)
+      (fun i arm -> run_arm ?sink { s with seed = s.seed + (1000 * i) } arm)
+      arms
   in
   { spec = s; arms }
 
@@ -218,99 +202,60 @@ let outcome_pp ppf o =
   List.iter (fun a -> Fmt.pf ppf "@.  %a" (arm_pp o.spec) a) o.arms;
   Fmt.pf ppf "@.  hedged p99 / fault-free p99 = %.2f" (p99_ratio o)
 
-let arm_json s a =
-  Json.Obj
-    [
-      ("arm", Json.Str (arm_name a.arm));
-      ("straggler", Json.Bool (a.arm <> Baseline));
-      ("hedge_fires", Json.Bool (a.arm <> Unhedged));
-      ("ops", Json.Int a.ops);
-      ("wall_s", Json.Float a.wall_s);
-      ("latency_mean_us", Json.Float a.mean_us);
-      ("latency_p50_us", Json.Float (pct a 0.50));
-      ("latency_p95_us", Json.Float (pct a 0.95));
-      ("latency_p99_us", Json.Float (pct a 0.99));
-      ("hedges", Json.Int a.hedges);
-      ("hedge_wins", Json.Int a.hedge_wins);
-      ("msgs_slowed", Json.Int a.msgs_slowed);
-      ("retries", Json.Int a.retries);
-      ("unavailable", Json.Int a.unavailable);
-      ( "ws_regular",
-        Json.Str
-          (Fmt.str "%a" Regemu_history.Ws_check.verdict_pp a.check.Checker.ws)
-      );
-      ("clean", Json.Bool (arm_clean s a));
-    ]
+let rows o =
+  let s = o.spec in
+  List.map
+    (fun a ->
+      {
+        Benchdoc.name = arm_name a.arm;
+        params =
+          [
+            ("algo", Json.Str (Algo.name s.algo));
+            ("backend", Json.Str (Transport.backend_name s.backend));
+            ("arm", Json.Str (arm_name a.arm));
+            ("straggler", Json.Bool (a.arm <> Baseline));
+            ("hedge_fires", Json.Bool (a.arm <> Unhedged));
+            ("clients", Json.Int (1 + s.readers));
+            ("f", Json.Int s.f);
+            ("n", Json.Int s.n);
+            ("ops_per_client", Json.Int s.ops_per_client);
+            ("base_us", Json.Int s.base_us);
+            ("straggler_us", Json.Int s.straggler_us);
+            ("straggler_server", Json.Int s.straggler);
+            ("seed", Json.Int s.seed);
+          ];
+        metrics =
+          [
+            ("ops", Json.Int a.ops);
+            ("wall_s", Json.Float a.wall_s);
+            ("latency_mean_us", Json.Float a.mean_us);
+            ("latency_p50_us", Json.Float (pct a 0.50));
+            ("latency_p95_us", Json.Float (pct a 0.95));
+            ("latency_p99_us", Json.Float (pct a 0.99));
+            ("hedges", Json.Int a.hedges);
+            ("hedge_wins", Json.Int a.hedge_wins);
+            ("msgs_slowed", Json.Int a.msgs_slowed);
+            ("retries", Json.Int a.retries);
+            ("unavailable", Json.Int a.unavailable);
+            ( "ws_regular",
+              Json.Str
+                (Fmt.str "%a" Regemu_history.Ws_check.verdict_pp
+                   a.check.Checker.ws) );
+          ]
+          @
+          if a.arm = Hedged then
+            [ ("p99_over_baseline", Json.Float (p99_ratio o)) ]
+          else [];
+        clean = arm_clean s a;
+      })
+    o.arms
 
-let to_json o =
-  Json.Obj
-    [
-      ("schema", Json.Str "regemu-tail/1");
-      ("algo", Json.Str (Algo.name o.spec.algo));
-      ("seed", Json.Int o.spec.seed);
-      ("n", Json.Int o.spec.n);
-      ("f", Json.Int o.spec.f);
-      ("clients", Json.Int (1 + o.spec.readers));
-      ("ops_per_client", Json.Int o.spec.ops_per_client);
-      ("base_us", Json.Int o.spec.base_us);
-      ("straggler_us", Json.Int o.spec.straggler_us);
-      ("straggler_server", Json.Int o.spec.straggler);
-      ("arms", Json.List (List.map (arm_json o.spec) o.arms));
-      ("hedged_p99_over_baseline_p99", Json.Float (p99_ratio o));
-      ("clean", Json.Bool (clean o));
-    ]
-
-(* Structural check of the regemu-tail/1 document: the three arms must
-   be present (in A/B/ablation order) with numeric latency fields, and
-   the headline ratio must be a number. *)
-let validate_tail_json json =
-  let ( let* ) = Result.bind in
-  let field name = function
-    | Json.Obj kvs -> (
-        match List.assoc_opt name kvs with
-        | Some v -> Ok v
-        | None -> Error (Fmt.str "missing field %S" name))
-    | _ -> Error "expected an object"
-  in
-  let numeric what = function
-    | Json.Float _ | Json.Int _ -> Ok ()
-    | _ -> Error (Fmt.str "%s must be a number" what)
-  in
-  let* schema = field "schema" json in
-  let* () =
-    match schema with
-    | Json.Str "regemu-tail/1" -> Ok ()
-    | Json.Str s -> Error (Fmt.str "bad schema %S" s)
-    | _ -> Error "schema must be a string"
-  in
-  let* ratio = field "hedged_p99_over_baseline_p99" json in
-  let* () = numeric "hedged_p99_over_baseline_p99" ratio in
-  let* arms = field "arms" json in
-  let* arms =
-    match arms with Json.List l -> Ok l | _ -> Error "arms must be a list"
-  in
-  let* names =
-    List.fold_left
-      (fun acc a ->
-        let* acc = acc in
-        let* name = field "arm" a in
-        let* name =
-          match name with
-          | Json.Str s -> Ok s
-          | _ -> Error "arm name must be a string"
-        in
-        let* () =
-          List.fold_left
-            (fun acc k ->
-              let* () = acc in
-              let* v = field k a in
-              numeric k v)
-            (Ok ())
-            [ "latency_p50_us"; "latency_p95_us"; "latency_p99_us" ]
-        in
-        Ok (name :: acc))
-      (Ok []) arms
-  in
-  if List.rev names <> [ "baseline"; "unhedged"; "hedged" ] then
-    Error "arms must be [baseline; unhedged; hedged]"
-  else Ok ()
+let gate =
+  {
+    Benchdoc.bench = "tail";
+    rows = List.map arm_name arms;
+    metrics =
+      List.map
+        (fun k -> (k, Benchdoc.Num))
+        [ "latency_p50_us"; "latency_p95_us"; "latency_p99_us" ];
+  }

@@ -16,7 +16,7 @@
     Every server link carries [base_us] per envelope (the network
     floor), so [straggler_us = 10 * base_us] is a 10x straggler.  The
     headline number is hedged-under-straggler p99 over fault-free p99,
-    written to the [regemu-tail/1] document. *)
+    the hedged row's [p99_over_baseline] metric. *)
 
 type spec = {
   algo : Algo.t;  (** which emulation runs the arms *)
@@ -53,6 +53,9 @@ type arm = Baseline | Unhedged | Hedged
 
 val arm_name : arm -> string
 
+(** [[Baseline; Unhedged; Hedged]] — the run and row order. *)
+val arms : arm list
+
 type arm_outcome = {
   arm : arm;
   ops : int;
@@ -70,15 +73,13 @@ type arm_outcome = {
 type outcome = { spec : spec; arms : arm_outcome list }
 
 (** Run all three arms in order (baseline, unhedged, hedged), [reps]
-    (default 1) interleaved rounds each; each reported arm is its
-    median-by-p99 round, so a transient machine stall cannot
+    (default 1) interleaved rounds each, round [i] at seed
+    [seed + 1000 i]; each reported arm is its median-by-p99 round
+    ({!Live_bench.median_reps}), so a transient machine stall cannot
     masquerade as a tail regression.  A rep that fails its checks
     disqualifies the arm whole.  Raises [Invalid_argument] on a
-    malformed spec. *)
+    malformed spec or [reps < 1]. *)
 val run : ?sink:Sink.t -> ?reps:int -> spec -> outcome
-
-(** Every arm completed all its operations with a quiet checker. *)
-val clean : outcome -> bool
 
 (** Hedged-under-straggler p99 over fault-free p99; 0 when the
     baseline measured nothing. *)
@@ -86,10 +87,13 @@ val p99_ratio : outcome -> float
 
 val outcome_pp : outcome Fmt.t
 
-(** The [regemu-tail/1] document. *)
-val to_json : outcome -> Regemu_obs.Json.t
+(** One {!Regemu_obs.Benchdoc} row per arm, named by {!arm_name}:
+    latency percentiles, hedge and retry counts, and the WS-Regularity
+    verdict; the hedged row also carries [p99_over_baseline]
+    ({!p99_ratio}).  A row is clean when its arm completed all its
+    operations with a quiet checker. *)
+val rows : outcome -> Regemu_obs.Benchdoc.row list
 
-(** Structural check of a [regemu-tail/1] document: schema tag, the
-    three arms in order with numeric latency percentiles, a numeric
-    headline ratio. *)
-val validate_tail_json : Regemu_obs.Json.t -> (unit, string) result
+(** Bench ["tail"]: the three arm rows in {!arms} order, each with
+    numeric latency percentiles. *)
+val gate : Regemu_obs.Benchdoc.gate

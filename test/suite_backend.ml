@@ -419,61 +419,6 @@ let cluster_tests =
           (Cluster.stats cluster).Cluster.ops_completed);
   ]
 
-(* --- regemu-bench/2 validation ------------------------------------------ *)
-
-let bench_row extra =
-  Json.Obj
-    ([
-       ("name", Json.Str "saturate/abd/threads/clients=2");
-       ("measure", Json.Str "throughput");
-       ("backend", Json.Str "threads");
-       ("ns_per_run", Json.Float 1000.0);
-     ]
-    @ extra)
-
-let bench_doc rows =
-  Json.Obj
-    [ ("schema", Json.Str "regemu-bench/2"); ("benchmarks", Json.List rows) ]
-
-let schema_tests =
-  [
-    test "validate_bench_json accepts a minimal /2 document" (fun () ->
-        match Live_bench.validate_bench_json (bench_doc [ bench_row [] ]) with
-        | Ok () -> ()
-        | Error m -> Alcotest.failf "rejected: %s" m);
-    test "validate_bench_json rejects a lingering r_square" (fun () ->
-        match
-          Live_bench.validate_bench_json
-            (bench_doc [ bench_row [ ("r_square", Json.Null) ] ])
-        with
-        | Error _ -> ()
-        | Ok () -> Alcotest.fail "r_square accepted in /2");
-    test "validate_bench_json rejects an unknown backend" (fun () ->
-        let row =
-          Json.Obj
-            [
-              ("name", Json.Str "x");
-              ("measure", Json.Str "throughput");
-              ("backend", Json.Str "carrier-pigeon");
-              ("ns_per_run", Json.Float 1.0);
-            ]
-        in
-        match Live_bench.validate_bench_json (bench_doc [ row ]) with
-        | Error _ -> ()
-        | Ok () -> Alcotest.fail "unknown backend accepted");
-    test "validate_bench_json rejects the /1 schema id" (fun () ->
-        let doc =
-          Json.Obj
-            [
-              ("schema", Json.Str "regemu-bench/1");
-              ("benchmarks", Json.List []);
-            ]
-        in
-        match Live_bench.validate_bench_json doc with
-        | Error _ -> ()
-        | Ok () -> Alcotest.fail "/1 accepted by the /2 validator");
-  ]
-
 let suites =
   [
     ("backend.mpsc", mpsc_tests);
@@ -481,5 +426,4 @@ let suites =
     ("backend.codec", codec_tests);
     ("backend.domains", domains_tests);
     ("backend.cluster", cluster_tests);
-    ("backend.schema", schema_tests);
   ]

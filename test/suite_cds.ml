@@ -3,8 +3,8 @@
    per-writer slot semantics in the protocol core, quorum rounds and
    multi-writer ordering on a tiny live cluster, resident-space
    accounting, the chaos arms (including the seeded amnesia violation
-   the checker must catch), DST determinism, and the regemu-compare/1
-   document validator. *)
+   the checker must catch), DST determinism, and the compare bench's
+   coverage gate. *)
 
 open Regemu_objects
 open Regemu_live
@@ -247,35 +247,29 @@ let dst_tests =
           <> Regemu_dst.Dst.run_digest (Regemu_dst.Dst.run (cfg 43))));
   ]
 
-(* --- the regemu-compare/1 validator --------------------------------------- *)
+(* --- the compare gate ------------------------------------------------------ *)
+
+module Benchdoc = Regemu_obs.Benchdoc
+
+let pairs = Compare_bench.smoke_specs ~seed:42 ()
+let gate = Compare_bench.gate pairs
 
 let row ?(algo = "abd") ?(backend = "threads") ?(load = "k2-f1") () =
-  Json.Obj
-    [
-      ("algo", Json.Str algo);
-      ("backend", Json.Str backend);
-      ("load", Json.Str load);
-      ("f", Json.Int 1);
-      ("n", Json.Int 5);
-      ("ops_per_s", Json.Float 1000.0);
-      ("latency_p50_us", Json.Float 10.0);
-      ("latency_p95_us", Json.Float 20.0);
-      ("space_resident_cells", Json.Int 1);
-      ("space_resident_bytes", Json.Int 22);
-      ("space_cells_total", Json.Int 3);
-      ("space_formula_cells_total", Json.Int 3);
-      ("clean", Json.Bool true);
-    ]
+  {
+    Benchdoc.name = Fmt.str "%s/%s/%s" algo backend load;
+    params =
+      [
+        ("algo", Json.Str algo);
+        ("backend", Json.Str backend);
+        ("load", Json.Str load);
+      ];
+    metrics = List.map (fun (k, _) -> (k, Json.Float 1.0)) Live_bench.metrics;
+    clean = true;
+  }
 
 let doc rows =
-  Json.Obj
-    [
-      ("schema", Json.Str "regemu-compare/1");
-      ("seed", Json.Int 42);
-      ("smoke", Json.Bool true);
-      ("rows", Json.List rows);
-      ("clean", Json.Bool true);
-    ]
+  Benchdoc.to_json
+    { manifest = Benchdoc.manifest ~bench:"compare" ~seed:42 ~smoke:true; rows }
 
 let full_coverage =
   List.concat_map
@@ -298,25 +292,22 @@ let compare_tests =
              (Regemu_bounds.Params.make_exn ~k:6 ~f:2 ~n:7))
           (cells Algo.Alg2));
     test "a fully covered document validates" (fun () ->
-        match Compare_bench.validate_compare_json (doc full_coverage) with
+        match Benchdoc.validate gate (doc full_coverage) with
         | Ok () -> ()
         | Error m -> Alcotest.failf "valid document rejected: %s" m);
     test "holes, duplicates, and junk are rejected" (fun () ->
-        expect_invalid "empty rows" (Compare_bench.validate_compare_json (doc []));
+        let check = Benchdoc.validate gate in
+        expect_invalid "empty rows" (check (doc []));
         expect_invalid "missing (cds, domains) cell"
-          (Compare_bench.validate_compare_json
-             (doc (List.filteri (fun i _ -> i < 5) full_coverage)));
+          (check (doc (List.filteri (fun i _ -> i < 5) full_coverage)));
         expect_invalid "duplicated cell"
-          (Compare_bench.validate_compare_json
-             (doc (row () :: full_coverage)));
+          (check (doc (row () :: full_coverage)));
         expect_invalid "unknown algo"
-          (Compare_bench.validate_compare_json (doc [ row ~algo:"paxos" () ]));
+          (check (doc (full_coverage @ [ row ~algo:"paxos" () ])));
         expect_invalid "socket backend is not part of the comparison"
-          (Compare_bench.validate_compare_json
-             (doc (row ~backend:"socket" () :: full_coverage)));
+          (check (doc (row ~backend:"socket" () :: full_coverage)));
         expect_invalid "wrong schema"
-          (Compare_bench.validate_compare_json
-             (Json.Obj [ ("schema", Json.Str "regemu-compare/2") ])));
+          (check (Json.Obj [ ("schema", Json.Str "regemu-compare/2") ])));
   ]
 
 let suites =

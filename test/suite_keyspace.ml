@@ -249,19 +249,25 @@ let e2e_tests =
         | _ -> Alcotest.fail "expected one skew");
   ]
 
-(* --- bench JSON schema gate --------------------------------------- *)
+(* --- the keyspace bench gate --------------------------------------- *)
+
+module Json = Regemu_obs.Json
+module Benchdoc = Regemu_obs.Benchdoc
+
+let gate_spec = { Kbench.smoke_spec with zipfs = [ 0.5 ]; total_ops = 40 }
 
 let valid_doc () =
-  let spec = { Kbench.smoke_spec with zipfs = [ 0.5 ]; total_ops = 40 } in
-  Kbench.to_json (Kbench.run spec)
+  Benchdoc.to_json
+    {
+      manifest = Benchdoc.manifest ~bench:"keyspace" ~seed:7 ~smoke:true;
+      rows = Kbench.rows (Kbench.run gate_spec);
+    }
 
 let reject name doc =
   test name (fun () ->
-      match Kbench.validate_keyspace_json doc with
+      match Benchdoc.validate (Kbench.gate gate_spec) doc with
       | Ok () -> Alcotest.fail "validation accepted a malformed document"
       | Error _ -> ())
-
-module Json = Regemu_obs.Json
 
 let rec strip key = function
   | Json.Obj fields ->
@@ -276,7 +282,7 @@ let schema_tests =
   let doc = valid_doc () in
   [
     test "real outcome validates" (fun () ->
-        match Kbench.validate_keyspace_json doc with
+        match Benchdoc.validate (Kbench.gate gate_spec) doc with
         | Ok () -> ()
         | Error e -> Alcotest.failf "rejected a real outcome: %s" e);
     reject "wrong schema tag rejected"
@@ -284,13 +290,13 @@ let schema_tests =
        | Json.Obj f -> Json.Obj (("schema", Json.Str "regemu-live/1") :: f)
        | j -> j);
     reject "missing schema rejected" (strip "schema" doc);
-    reject "missing spec rejected" (strip "spec" doc);
-    reject "empty skews rejected"
-      (strip "skews" doc |> function
-       | Json.Obj f -> Json.Obj (("skews", Json.List []) :: f)
+    reject "missing manifest rejected" (strip "manifest" doc);
+    reject "empty rows rejected"
+      (strip "rows" doc |> function
+       | Json.Obj f -> Json.Obj (("rows", Json.List []) :: f)
        | j -> j);
-    reject "skew without checker fields rejected" (strip "violations" doc);
-    reject "skew without budget verdict rejected" (strip "within_budget" doc);
+    reject "row without checker fields rejected" (strip "violations" doc);
+    reject "row without budget verdict rejected" (strip "within_budget" doc);
   ]
 
 let suites =

@@ -871,7 +871,9 @@ let inline_tests =
           (backlog_run Recovery.Amnesia));
   ]
 
-(* --- saturation bench / regemu-bench schema ------------------------------ *)
+(* --- saturation bench rows and gates ------------------------------------- *)
+
+module Benchdoc = Regemu_obs.Benchdoc
 
 let bench_tests =
   [
@@ -881,59 +883,74 @@ let bench_tests =
           Live_bench.saturate_spec ~algo:Algo.Abd ~clients:2
             ~ops_per_client:10 ~seed:5 ()
         in
-        let o = Live_bench.run_median ~reps:2 spec in
+        let o =
+          match Live_bench.run_sweep_median ~reps:2 [ spec ] with
+          | [ o ] -> o
+          | _ -> Alcotest.fail "expected one outcome"
+        in
         Alcotest.(check bool) "clean" true (Live_bench.clean o);
-        let doc = Live_bench.saturate_json [ o ] in
-        (match Live_bench.validate_bench_json doc with
+        let rows = Live_bench.rows ~bench:"saturate" [ o ] in
+        let doc =
+          Benchdoc.to_json
+            {
+              manifest = Benchdoc.manifest ~bench:"saturate" ~seed:5 ~smoke:true;
+              rows;
+            }
+        in
+        let gate = Live_bench.gate ~bench:"saturate" [ spec ] in
+        (match Benchdoc.validate gate doc with
         | Ok () -> ()
         | Error m -> Alcotest.failf "schema check failed: %s" m);
         (* the emitted names are the dashboard keys; keep them stable *)
-        match doc with
-        | Json.Obj kvs -> (
-            match List.assoc "benchmarks" kvs with
-            | Json.List [ Json.Obj b ] ->
-                Alcotest.(check bool) "benchmark name" true
-                  (List.assoc "name" b
-                  = Json.Str "saturate/abd/threads/clients=2")
-            | _ -> Alcotest.fail "expected one benchmark entry")
-        | _ -> Alcotest.fail "expected an object");
+        Alcotest.(check (list string)) "row name"
+          [ "saturate/abd/threads/clients=2" ]
+          (List.map (fun (r : Benchdoc.row) -> r.name) rows));
     test "schema check rejects malformed documents" (fun () ->
+        let gate = Live_bench.gate ~bench:"saturate" [] in
         let reject doc =
-          match Live_bench.validate_bench_json doc with
+          match Benchdoc.validate gate doc with
           | Error _ -> ()
           | Ok () -> Alcotest.fail "malformed document accepted"
         in
-        reject (Json.Obj [ ("schema", Json.Str "regemu-bench/2") ]);
+        reject (Json.Obj [ ("schema", Json.Str Benchdoc.schema) ]);
         reject
           (Json.Obj
              [
-               ("schema", Json.Str "regemu-bench/1");
-               ("benchmarks", Json.Str "not-a-list");
+               ("schema", Json.Str Benchdoc.schema);
+               ("rows", Json.Str "not-a-list");
              ]);
         reject
           (Json.Obj
              [
-               ("schema", Json.Str "regemu-bench/1");
-               ( "benchmarks",
-                 Json.List
-                   [ Json.Obj [ ("name", Json.Str "x") ] (* no measure *) ] );
-             ]);
-        reject
-          (Json.Obj
-             [
-               ("schema", Json.Str "regemu-bench/1");
-               ( "benchmarks",
-                 Json.List
-                   [
-                     Json.Obj
-                       [
-                         ("name", Json.Str "x");
-                         ("measure", Json.Str "throughput");
-                         ("ns_per_run", Json.Str "fast");
-                         ("r_square", Json.Null);
-                       ];
-                   ] );
+               ("schema", Json.Str Benchdoc.schema);
+               ( "rows",
+                 Json.List [ Json.Obj [ ("name", Json.Str "x") ] (* no params *) ]
+               );
              ]));
+    test "the tail gate wants baseline; unhedged; hedged in that order"
+      (fun () ->
+        let gate = Tail_bench.gate in
+        let row arm =
+          {
+            Benchdoc.name = arm;
+            params = [];
+            metrics = List.map (fun (k, _) -> (k, Json.Float 1.0)) gate.metrics;
+            clean = true;
+          }
+        in
+        let doc arms =
+          Benchdoc.to_json
+            {
+              manifest = Benchdoc.manifest ~bench:"tail" ~seed:42 ~smoke:true;
+              rows = List.map row arms;
+            }
+        in
+        Alcotest.(check bool) "in order" true
+          (Result.is_ok
+             (Benchdoc.validate gate (doc [ "baseline"; "unhedged"; "hedged" ])));
+        Alcotest.(check bool) "swapped" true
+          (Result.is_error
+             (Benchdoc.validate gate (doc [ "baseline"; "hedged"; "unhedged" ]))));
     test "saturate_spec rejects fewer than two clients" (fun () ->
         Alcotest.(check bool) "raises" true
           (match

@@ -478,8 +478,152 @@ let agreement_tests =
           "op spans = completed ops" o.Live_bench.ops (count op_begin));
   ]
 
+(* --- the one bench document ---------------------------------------------- *)
+
+let bd_gate =
+  {
+    Benchdoc.bench = "demo";
+    rows = [ "a"; "b" ];
+    metrics =
+      [ ("latency_p99_us", Benchdoc.Num); ("within_budget", Benchdoc.Bool) ];
+  }
+
+let bd_row ?(clean = true) ?(p99 = Json.Float 10.0) name =
+  {
+    Benchdoc.name;
+    params = [ ("algo", Json.Str "abd") ];
+    metrics = [ ("latency_p99_us", p99); ("within_budget", Json.Bool true) ];
+    clean;
+  }
+
+let bd_doc ?(bench = "demo") rows =
+  Benchdoc.to_json
+    { manifest = Benchdoc.manifest ~bench ~seed:1 ~smoke:true; rows }
+
+let bd_ab = [ bd_row "a"; bd_row "b" ]
+
+let bd_reject what doc =
+  match Benchdoc.validate bd_gate doc with
+  | Ok () -> Alcotest.failf "%s: accepted" what
+  | Error _ -> ()
+
+(* rewrite (or, with [None], drop) one top-level field of a document *)
+let bd_set k v = function
+  | Json.Obj kvs ->
+      Json.Obj
+        (List.filter_map
+           (fun (k', v') ->
+             if k' = k then Option.map (fun v -> (k, v)) v else Some (k', v'))
+           kvs)
+  | j -> j
+
+let with_temp f =
+  let path = Filename.temp_file "benchdoc" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let benchdoc_tests =
+  [
+    test "a well-formed document validates, manifest included" (fun () ->
+        let doc = bd_doc [ bd_row "a"; bd_row ~clean:false "b" ] in
+        (match Benchdoc.validate bd_gate doc with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "valid document rejected: %s" m);
+        let m = Option.get (Json.member "manifest" doc) in
+        Alcotest.(check (option string)) "ocaml" (Some Sys.ocaml_version)
+          (Option.bind (Json.member "ocaml" m) Json.to_str_opt);
+        Alcotest.(check (option bool)) "clean is the AND of the rows"
+          (Some false)
+          (Option.bind (Json.member "clean" doc) Json.to_bool_opt));
+    test "wrong schema tag rejected" (fun () ->
+        bd_reject "bench/2"
+          (bd_set "schema" (Some (Json.Str "regemu-bench/2")) (bd_doc bd_ab)));
+    test "a clean that disagrees with the rows is rejected" (fun () ->
+        bd_reject "clean=true over a dirty row"
+          (bd_set "clean" (Some (Json.Bool true))
+             (bd_doc [ bd_row "a"; bd_row ~clean:false "b" ])));
+    test "rows must match the gate's names, once each and in order" (fun () ->
+        bd_reject "missing row" (bd_doc [ bd_row "a" ]);
+        bd_reject "duplicated row" (bd_doc (bd_ab @ [ bd_row "b" ]));
+        bd_reject "unknown row" (bd_doc (bd_ab @ [ bd_row "c" ]));
+        bd_reject "out of order" (bd_doc (List.rev bd_ab));
+        bd_reject "empty" (bd_doc []));
+    test "required metrics must be present with their kind" (fun () ->
+        let b metrics = { (bd_row "b") with metrics } in
+        bd_reject "non-numeric latency"
+          (bd_doc [ bd_row "a"; bd_row ~p99:(Json.Str "fast") "b" ]);
+        bd_reject "null latency"
+          (bd_doc [ bd_row "a"; bd_row ~p99:Json.Null "b" ]);
+        bd_reject "missing within_budget"
+          (bd_doc [ bd_row "a"; b [ ("latency_p99_us", Json.Int 3) ] ]);
+        bd_reject "nested metric"
+          (bd_doc
+             [ bd_row "a"; b (("hist", Json.List []) :: (bd_row "b").metrics) ]));
+    test "the manifest must be there and name the gate's bench" (fun () ->
+        bd_reject "other bench" (bd_doc ~bench:"other" bd_ab);
+        bd_reject "no manifest" (bd_set "manifest" None (bd_doc bd_ab)));
+    test "emit writes, reads back, and fails on dirty rows" (fun () ->
+        with_temp @@ fun path ->
+        (match Benchdoc.emit ~path bd_gate ~seed:1 ~smoke:true bd_ab with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "emit: %s" m);
+        (match Json.of_file path with
+        | Ok disk ->
+            Alcotest.(check bool) "the bytes on disk validate" true
+              (Result.is_ok (Benchdoc.validate bd_gate disk))
+        | Error m -> Alcotest.failf "re-read: %s" m);
+        let dirty = [ bd_row "a"; bd_row ~clean:false "b" ] in
+        match Benchdoc.emit ~path bd_gate ~seed:1 ~smoke:true dirty with
+        | Ok () -> Alcotest.fail "a dirty row emitted Ok"
+        | Error _ -> ());
+    test "emit catches a read-back mismatch" (fun () ->
+        (* nan is a Float in memory but null on disk: only the
+           read-back sees the missing latency *)
+        let rows = [ bd_row "a"; bd_row ~p99:(Json.Float Float.nan) "b" ] in
+        (match Benchdoc.emit bd_gate ~seed:1 ~smoke:true rows with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "in-memory check: %s" m);
+        with_temp @@ fun path ->
+        match Benchdoc.emit ~path bd_gate ~seed:1 ~smoke:true rows with
+        | Ok () -> Alcotest.fail "read-back accepted a null latency"
+        | Error m ->
+            Alcotest.(check bool) "names the read-back" true
+              (Astring_contains.contains m "read-back"));
+  ]
+
+(* The committed BENCH files, each against the gate of its bench's
+   default specs (the ones its make target runs). *)
+let committed_bench_tests =
+  let open Regemu_live in
+  let file name =
+    let up = Filename.concat ".." name in
+    if Sys.file_exists up then up (* dune runtest cwd *) else name
+  in
+  List.map
+    (fun (name, gate) ->
+      test (Fmt.str "%s validates and is clean" name) (fun () ->
+          match Json.of_file (file name) with
+          | Error m -> Alcotest.failf "parse: %s" m
+          | Ok doc ->
+              (match Benchdoc.validate gate doc with
+              | Ok () -> ()
+              | Error m -> Alcotest.failf "%s" m);
+              Alcotest.(check (option bool)) "clean" (Some true)
+                (Option.bind (Json.member "clean" doc) Json.to_bool_opt)))
+    [
+      ( "BENCH_live.json",
+        Live_bench.gate ~bench:"saturate"
+          (Live_bench.saturate_ab_specs ~seed:42 ()) );
+      ("BENCH_tail.json", Tail_bench.gate);
+      ( "BENCH_compare.json",
+        Compare_bench.gate (Compare_bench.specs ~seed:42 ()) );
+      ( "BENCH_keyspace.json",
+        Regemu_keyspace.Kbench.gate Regemu_keyspace.Kbench.default_spec );
+    ]
+
 let suites =
   [
+    ("obs.benchdoc", benchdoc_tests);
+    ("obs.benchdoc.committed", committed_bench_tests);
     ("obs.ring", ring_tests);
     ("obs.trace", trace_tests);
     ("obs.metrics", metrics_tests);
