@@ -62,6 +62,7 @@ type skew_outcome = {
   checks : int;
   violations : int;
   settled_writes : int;
+  broken_keys : int;
   max_resident_ops : int;
   within_budget : bool;
   server_cells_max : int;
@@ -120,6 +121,7 @@ let run_skew ?(quiet = true) ?(sink = Sink.none) spec zipf =
       checks = chk.Kchecker.checks;
       violations = chk.Kchecker.violations;
       settled_writes = chk.Kchecker.settled_writes;
+      broken_keys = chk.Kchecker.broken_keys;
       max_resident_ops = chk.Kchecker.max_resident_ops;
       within_budget = chk.Kchecker.max_resident_ops <= spec.budget_ops;
       server_cells_max;
@@ -184,6 +186,7 @@ let rows o =
             ("checks", Json.Int k.checks);
             ("violations", Json.Int k.violations);
             ("settled_writes", Json.Int k.settled_writes);
+            ("broken_keys", Json.Int k.broken_keys);
             ("max_resident_ops", Json.Int k.max_resident_ops);
             ("within_budget", Json.Bool k.within_budget);
             ("server_cells_max", Json.Int k.server_cells_max);
@@ -205,6 +208,7 @@ let gate spec =
         ("completed", Benchdoc.Num);
         ("checks", Benchdoc.Num);
         ("violations", Benchdoc.Num);
+        ("broken_keys", Benchdoc.Num);
         ("max_resident_ops", Benchdoc.Num);
         ("within_budget", Benchdoc.Bool);
       ];

@@ -41,6 +41,9 @@ type skew_outcome = {
   checks : int;
   violations : int;
   settled_writes : int;
+  broken_keys : int;
+      (** keys the checker gave up on after a concurrent write: their
+          reads count in [checks] but are judged vacuously *)
   max_resident_ops : int;
   within_budget : bool;
   server_cells_max : int;

@@ -7,7 +7,7 @@
    one byte string per message — so decode-then-encode is the
    identity on well-formed frames, which the round-trip tests pin
    down.  Framing is transport-neutral: the same bytes work over a
-   Unix-domain socketpair today and a TCP stream tomorrow. *)
+   Unix-domain socket today and a TCP stream tomorrow. *)
 
 open Regemu_objects
 open Regemu_netsim
@@ -285,23 +285,6 @@ let decode s =
 
 (* --- framing ------------------------------------------------------------- *)
 
-let rec write_all fd buf pos len =
-  if len > 0 then begin
-    let n =
-      try Unix.write fd buf pos len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd buf (pos + n) (len - n)
-  end
-
-let write_msg fd msg =
-  let body = encode msg in
-  let n = String.length body in
-  let frame = Bytes.create (4 + n) in
-  Bytes.set_int32_be frame 0 (Int32.of_int n);
-  Bytes.blit_string body 0 frame 4 n;
-  write_all fd frame 0 (4 + n)
-
 (* read exactly [len] bytes; [`Eof] only at offset 0 (a clean
    inter-frame boundary), otherwise a mid-frame EOF is malformed *)
 let read_exactly fd len what =
@@ -325,3 +308,126 @@ let read_msg fd =
       (match read_exactly fd len "frame body" with
       | `Eof -> bad "eof inside frame body"
       | `Ok body -> Some (decode (Bytes.to_string body)))
+
+(* --- buffered framing ---------------------------------------------------- *)
+
+(* A frame reader over a byte source.  One [read] takes whatever the
+   source has ready, and {!next} hands out every complete frame in it
+   before reading again.  Bytes [lo, hi) of [rbuf] are buffered and
+   not yet consumed; a partial frame is moved to the front before the
+   next read, and the buffer grows to fit a frame larger than it. *)
+type reader = {
+  read : bytes -> int -> int -> int;
+  mutable rbuf : bytes;
+  mutable lo : int;
+  mutable hi : int;
+}
+
+let reader ?(size = 65536) read =
+  if size < 4 then invalid_arg "Codec.reader: size < 4";
+  { read; rbuf = Bytes.create size; lo = 0; hi = 0 }
+
+let fd_reader ?size fd =
+  let rec read b pos len =
+    try Unix.read fd b pos len
+    with Unix.Unix_error (Unix.EINTR, _, _) -> read b pos len
+  in
+  reader ?size read
+
+(* the body length of the frame at [lo], once its header is buffered *)
+let header r =
+  if r.hi - r.lo < 4 then None
+  else begin
+    let len = Int32.to_int (Bytes.get_int32_be r.rbuf r.lo) in
+    if len <= 0 || len > max_frame then bad "frame length %d" len;
+    Some len
+  end
+
+let buffered r =
+  match header r with
+  | Some len -> r.hi - r.lo >= 4 + len
+  | None -> false
+  | exception Malformed _ -> true
+
+(* one read after the buffered bytes; [false] on a clean EOF *)
+let fill r =
+  let avail = r.hi - r.lo in
+  if r.lo > 0 then begin
+    Bytes.blit r.rbuf r.lo r.rbuf 0 avail;
+    r.lo <- 0;
+    r.hi <- avail
+  end;
+  let want = match header r with Some len -> 4 + len | None -> 4 in
+  if want > Bytes.length r.rbuf then begin
+    let b = Bytes.create (max want (2 * Bytes.length r.rbuf)) in
+    Bytes.blit r.rbuf 0 b 0 avail;
+    r.rbuf <- b
+  end;
+  match r.read r.rbuf r.hi (Bytes.length r.rbuf - r.hi) with
+  | 0 -> if avail = 0 then false else bad "eof inside a frame (%d bytes)" avail
+  | n ->
+      r.hi <- r.hi + n;
+      true
+
+let rec next r =
+  match header r with
+  | Some len when r.hi - r.lo >= 4 + len ->
+      let body = Bytes.sub_string r.rbuf (r.lo + 4) len in
+      r.lo <- r.lo + 4 + len;
+      Some (decode body)
+  | _ -> if fill r then next r else None
+
+(* An outbound frame buffer: {!add} appends frames, {!flush} gives the
+   kernel as much as it takes.  Bytes [start, stop) of [wbuf] are
+   framed but not yet written. *)
+type writer = {
+  wfd : Unix.file_descr;
+  mutable wbuf : bytes;
+  mutable start : int;
+  mutable stop : int;
+}
+
+let writer wfd = { wfd; wbuf = Bytes.create 65536; start = 0; stop = 0 }
+
+let discard w =
+  w.start <- 0;
+  w.stop <- 0
+
+let add w msg =
+  let body = encode msg in
+  let n = String.length body in
+  let need = 4 + n in
+  if w.stop + need > Bytes.length w.wbuf then begin
+    let live = w.stop - w.start in
+    let cap = Bytes.length w.wbuf in
+    let b =
+      if live + need > cap then Bytes.create (max (live + need) (2 * cap))
+      else w.wbuf
+    in
+    Bytes.blit w.wbuf w.start b 0 live;
+    w.wbuf <- b;
+    w.start <- 0;
+    w.stop <- live
+  end;
+  Bytes.set_int32_be w.wbuf w.stop (Int32.of_int n);
+  Bytes.blit_string body 0 w.wbuf (w.stop + 4) n;
+  w.stop <- w.stop + need
+
+let rec flush w =
+  if w.start = w.stop then begin
+    discard w;
+    true
+  end
+  else
+    match Unix.single_write w.wfd w.wbuf w.start (w.stop - w.start) with
+    | n ->
+        w.start <- w.start + n;
+        flush w
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        false
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush w
+
+let write_msg fd msg =
+  let w = writer fd in
+  add w msg;
+  ignore (flush w)

@@ -14,11 +14,15 @@
        delays are served head-of-line, preserving per-destination
        FIFO.}
     {- [Socket]: each server is a forked process of the current
-       executable speaking the length-prefixed binary {!Codec} over a
-       Unix-domain socketpair (TCP-ready framing).  Crash injection
-       SIGKILLs the process; restarts exec a fresh image, so recovery
-       is inherently amnesiac, and in-kernel bytes die with the child
-       (real message loss, absorbed by the retry layer).  [reorder]
+       executable speaking the length-prefixed binary {!Codec} over
+       two Unix-domain stream sockets (TCP-ready framing).  A request
+       to an idle server is written by the sending thread with one
+       non-blocking write; otherwise a per-server writer thread sends
+       the queued ones in one write.  Crash injection SIGKILLs the
+       process; restarts exec a fresh image, so recovery is
+       inherently amnesiac, and bytes in the kernel or not yet written
+       die with the child (real message loss, absorbed by the retry
+       layer).  [reorder]
        is ignored: a stream socket is FIFO.  Executables hosting this
        backend must call {!Transport_socket.child_check} first thing
        in [main].}}

@@ -1,11 +1,28 @@
 (* The [Socket] backend: each server is a separate forked process
-   speaking the length-prefixed binary {!Codec} over a Unix-domain
-   socketpair (the framing is TCP-ready; only the dial here is
-   process-local).  The parent keeps a per-server slot — an MPSC
-   outbox, a writer thread applying the seeded request-fault stream,
-   and a reader thread decoding replies and applying the reply-fault
-   stream — while the child is nothing but a [Proto.store] stepped by
-   frames on stdin/stdout.
+   speaking the length-prefixed binary {!Codec} over two Unix-domain
+   stream sockets, one per direction (the framing is TCP-ready; only
+   the dial here is process-local).  The child is nothing but a
+   [Proto.store] stepped by frames on stdin, replying on stdout.
+
+   The parent keeps a per-server slot.  A request leaves on the
+   calling thread when the slot is idle: nothing queued for it, no
+   bytes waiting for the kernel, the slot open, and no delay or slow
+   link to apply.  The caller then takes the slot's write lock, draws
+   the seeded request faults and makes one non-blocking [write] — no
+   thread hand-off.  Otherwise the request joins the slot's MPSC
+   outbox, and a writer thread drains the whole outbox into one buffer
+   and one [write].  A reader thread reads replies in batches, decodes
+   them and applies the reply-fault stream.  The child likewise reads
+   in batches and sends the replies to everything one read brought in
+   a single [write], just before it would block.
+
+   The request socket is non-blocking on the parent side, so no client
+   or reader thread ever waits on a child: a full kernel buffer (a
+   short write or [EAGAIN]) leaves the rest of the frames in the
+   slot's buffer, the writer thread waits for the socket and writes
+   them, and every later request queues behind them.  Without this a
+   reader thread writing a reply handler's request inline could block
+   on a child that is itself blocked writing replies to that reader.
 
    Children are re-execed images of the current executable (the
    [REGEMU_SOCKET_SERVER] environment variable short-circuits [main]
@@ -13,16 +30,17 @@
    a threaded parent.
 
    Crash injection is real: [set_server_up false] SIGKILLs the child
-   and reaps it; messages already in its kernel buffer die with it
-   (genuine message loss — the retry layer's job), while messages
-   still in the parent-side outbox wait for the restart, like a
-   mailbox to a crashed-but-reachable server.  A restart execs a
-   fresh image, so the store always comes back empty: this backend is
-   inherently amnesiac, whatever the configured recovery mode.
+   and reaps it; messages already in its kernel buffer, or framed for
+   it but not yet written, die with it (genuine message loss — the
+   retry layer's job), while messages still in the outbox wait for the
+   restart, like a mailbox to a crashed-but-reachable server.  A
+   restart execs a fresh image, so the store always comes back empty:
+   this backend is inherently amnesiac, whatever the configured
+   recovery mode.
 
    Parent-side register allocations reach a live child via
-   [Ensure_regs] control frames, emitted by the writer whenever the
-   parent's count has grown past what the child was spawned with. *)
+   [Ensure_regs] control frames, framed ahead of any request sent
+   after the parent's count has grown past what the child was told. *)
 
 open Transport_intf
 
@@ -31,7 +49,7 @@ let env_regs = "REGEMU_SOCKET_REGS"
 
 (* The child's first bytes on the wire.  Linked libraries are free to
    print to stdout at module-init time (qcheck-alcotest announces its
-   seed, for one), and those prints land on the socketpair {e before}
+   seed, for one), and those prints land on the reply socket {e before}
    [child_check] can run — so the parent discards everything up to
    this preamble, and the child re-points fd 1 at stderr before
    serving so no later print (including at_exit channel flushes) can
@@ -42,12 +60,13 @@ let magic = "\xa5\x00regemu-sock/1\x00\x5a"
 
 let serve ~server ~regs =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* a private dup of the socket (fds 0 and 1 are the same socketpair
-     end), then route fd 1 — and with it the stdlib [stdout] channel —
-     to stderr: stray prints must never interleave with frames *)
-  let sock = Unix.dup Unix.stdin in
+  (* private dups of the two sockets, then route fd 1 — and with it
+     the stdlib [stdout] channel — to stderr: stray prints must never
+     interleave with frames *)
+  let rx = Unix.dup Unix.stdin in
+  let tx = Unix.dup Unix.stdout in
   Unix.dup2 Unix.stderr Unix.stdout;
-  ignore (Unix.write_substring sock magic 0 (String.length magic));
+  ignore (Unix.write_substring tx magic 0 (String.length magic));
   let store = Regemu_netsim.Proto.store_create () in
   for _ = 1 to regs do
     ignore (Regemu_netsim.Proto.alloc_reg store)
@@ -57,20 +76,24 @@ let serve ~server ~regs =
       ignore (Regemu_netsim.Proto.alloc_reg store)
     done
   in
+  let input = Codec.fd_reader rx in
+  let output = Codec.writer tx in
   let rec loop () =
-    match Codec.read_msg sock with
-    | None -> ()  (* parent closed the pipe: clean shutdown *)
+    (* the replies to everything the last read brought leave together,
+       just before the next [next] would block in [read] *)
+    if not (Codec.buffered input) then ignore (Codec.flush output);
+    match Codec.next input with
+    | None -> ()  (* parent closed the socket: clean shutdown *)
     | Some (Codec.Ensure_regs n) ->
         ensure n;
         loop ()
     | Some (Codec.Env env) ->
-        let replies = Regemu_netsim.Proto.step store env.payload in
         List.iter
           (fun reply ->
-            Codec.write_msg sock
+            Codec.add output
               (Codec.Env
                  { src = server; dest = To_client env.src; payload = reply }))
-          replies;
+          (Regemu_netsim.Proto.step store env.payload);
         loop ()
   in
   (* a SIGKILLed parent, a torn frame: either way the child just exits *)
@@ -94,16 +117,27 @@ let child_check () =
 
 (* --- the parent ---------------------------------------------------------- *)
 
-type child = { pid : int; fd : Unix.file_descr }
+type child = {
+  pid : int;
+  tx : Unix.file_descr;  (* requests to the child; non-blocking *)
+  rx : Unix.file_descr;  (* replies from the child *)
+  out : Codec.writer;  (* under the slot's [wm]: frames not yet written *)
+  mutable regs : int;  (* under [wm]: registers the child knows of *)
+}
 
 type slot = {
   server : int;
-  outq : envelope Mpsc.t;
-  wrng : Regemu_sim.Rng.t;  (* writer-thread private: request faults *)
+  outq : envelope Mpsc.t;  (* requests waiting for the writer thread *)
+  queued : int Atomic.t;  (* requests pushed to [outq] and not yet popped *)
+  wm : Mutex.t;
+      (* the write lock: held to draw from [wrng], to frame into the
+         child's [out] and to write it, so the draws and the frames
+         follow one order *)
+  wrng : Regemu_sim.Rng.t;  (* under [wm]: request faults *)
   rrng : Regemu_sim.Rng.t;  (* reader-thread private: reply faults *)
   lrec : Sink.Trace.recorder option;
   child : child option Atomic.t;  (* [None] while crashed *)
-  mutable child_regs : int;  (* writer-private: regs the child has *)
+  backlog : bool Atomic.t;  (* the child's [out] waits for the writer *)
   mutable writer : Thread.t option;
   mutable readers : Thread.t list;  (* one live + one exiting per restart *)
   rm : Mutex.t;  (* guards [readers] and [old_fds] *)
@@ -144,11 +178,13 @@ let create ?(sink = Sink.none) cfg ~servers ~deliver ~server_regs =
           {
             server = i;
             outq = Mpsc.create ();
+            queued = Atomic.make 0;
+            wm = Mutex.create ();
             wrng = Regemu_sim.Rng.create (cfg.seed + ((i + 1) * 0x9e3779b9));
             rrng = Regemu_sim.Rng.create (cfg.seed + ((i + 1) * 0x85ebca6b));
             lrec = Sink.recorder sink ~name:(Fmt.str "sock-s%d" i);
             child = Atomic.make None;
-            child_regs = 0;
+            backlog = Atomic.make false;
             writer = None;
             readers = [];
             rm = Mutex.create ();
@@ -171,25 +207,32 @@ let msg_point slot name env =
     Sink.instant slot.lrec ~cat:"msg" ~args:(env_args env) name
 
 let spawn_child t slot =
-  let parent_end, child_end =
-    Unix.socketpair ~cloexec:false Unix.PF_UNIX Unix.SOCK_STREAM 0
+  let req_parent, req_child =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
   in
-  Unix.set_close_on_exec parent_end;
+  let rep_parent, rep_child =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  Unix.set_nonblock req_parent;
+  let regs = t.server_regs slot.server in
   let env =
     Array.append (Unix.environment ())
       [|
         Fmt.str "%s=%d" env_server slot.server;
-        Fmt.str "%s=%d" env_regs (t.server_regs slot.server);
+        Fmt.str "%s=%d" env_regs regs;
       |]
   in
+  (* the child's stdin and stdout are dups of the two child ends, made
+     in the child; close-on-exec keeps them from leaking into any
+     other child spawned meanwhile *)
   let pid =
     Unix.create_process_env Sys.executable_name
       [| Sys.executable_name |]
-      env child_end child_end Unix.stderr
+      env req_child rep_child Unix.stderr
   in
-  Unix.close child_end;
-  slot.child_regs <- t.server_regs slot.server;
-  { pid; fd = parent_end }
+  Unix.close req_child;
+  Unix.close rep_child;
+  { pid; tx = req_parent; rx = rep_parent; out = Codec.writer req_parent; regs }
 
 (* --- reader -------------------------------------------------------------- *)
 
@@ -226,8 +269,9 @@ let await_magic fd =
   go ()
 
 let reader_loop t slot fd =
+  let input = Codec.fd_reader fd in
   let rec loop () =
-    match Codec.read_msg fd with
+    match Codec.next input with
     | None -> ()  (* EOF: the child died or we are stopping *)
     | Some (Codec.Ensure_regs _) -> loop ()  (* children never send these *)
     | Some (Codec.Env env) ->
@@ -263,78 +307,158 @@ let add_reader t slot fd =
   slot.readers <- Thread.create (fun () -> reader_loop t slot fd) () :: slot.readers;
   Mutex.unlock slot.rm
 
-(* --- writer -------------------------------------------------------------- *)
+(* --- writing ------------------------------------------------------------- *)
 
 let slot_gated t slot =
   (not (Atomic.get t.up.(slot.server)))
   || frozen_of (Atomic.get t.state) ~server:slot.server
   || Atomic.get slot.child = None
 
-(* one attempted frame write; a dead or dying child loses the message,
-   which the retry layer treats like any other loss *)
-let try_write t slot msg =
-  match Atomic.get slot.child with
-  | None -> ()
-  | Some c -> (
-      try Codec.write_msg c.fd msg
-      with Unix.Unix_error _ ->
-        Atomic.incr t.dropped)
+(* Draw [env]'s request faults from the slot's stream — once per
+   request, under [wm].  [None] when the network loses it, else
+   whether to send it twice and how long to hold it first, in us. *)
+let draw t slot env =
+  let st = Atomic.get t.state in
+  if not (reachable_of st ~server:slot.server) then begin
+    Atomic.incr t.cut;
+    msg_point slot "cut" env;
+    None
+  end
+  else if hit slot.wrng st.drop_requests then begin
+    Atomic.incr t.dropped;
+    msg_point slot "drop" env;
+    None
+  end
+  else begin
+    let dup = hit slot.wrng t.cfg.dup_prob in
+    if dup then begin
+      Atomic.incr t.sent;
+      Atomic.incr t.duplicated;
+      msg_point slot "dup" env
+    end;
+    let delay_us =
+      if hit slot.wrng t.cfg.delay_prob && t.cfg.max_delay_us > 0 then begin
+        Atomic.incr t.delayed;
+        1 + Regemu_sim.Rng.int slot.wrng ~bound:t.cfg.max_delay_us
+      end
+      else 0
+    in
+    let slow_us = slow_of st ~server:slot.server in
+    if slow_us > 0 then Atomic.incr t.slowed;
+    Some (dup, delay_us + slow_us)
+  end
 
-let writer_loop t slot =
-  let ready () =
-    Atomic.get t.stopped
-    || ((not (Mpsc.is_empty slot.outq)) && not (slot_gated t slot))
+(* Frame [env] (twice if [dup]) into the child's buffer; under [wm].
+   Any parent-side register growth goes first, so the child can step
+   a Reg_* request the parent just set up. *)
+let frame t slot c env ~dup =
+  let want = t.server_regs slot.server in
+  if want > c.regs then begin
+    Codec.add c.out (Codec.Ensure_regs want);
+    c.regs <- want
+  end;
+  Codec.add c.out (Codec.Env env);
+  if dup then Codec.add c.out (Codec.Env env)
+
+(* Write what the kernel takes of the child's buffer; under [wm].
+   [true] once nothing is left.  A dead or dying child loses the whole
+   buffer, which the retry layer treats like any other loss. *)
+let flush t c =
+  try Codec.flush c.out
+  with Unix.Unix_error _ ->
+    Codec.discard c.out;
+    Atomic.incr t.dropped;
+    true
+
+(* the most envelopes the writer frames before it writes *)
+let batch_max = 512
+
+(* Frame the outbox into [c]'s buffer, in pop order, until it is
+   empty, the slot closes, [c] is no longer the slot's child or a
+   batch is full; under [wm].  A drawn delay writes what is framed so
+   far and holds the lock while it sleeps, so nothing overtakes the
+   held request. *)
+let drain t slot c =
+  let open_to_c () =
+    (not (slot_gated t slot))
+    && match Atomic.get slot.child with Some c' -> c' == c | None -> false
   in
-  while not (Atomic.get t.stopped) do
-    if Mpsc.is_empty slot.outq || slot_gated t slot then
-      Mpsc.park slot.outq ~ready
-    else begin
+  let rec go n =
+    if n < batch_max && (not (Atomic.get t.stopped)) && open_to_c () then
       match Mpsc.try_pop slot.outq with
       | None -> ()
       | Some env ->
-          let st = Atomic.get t.state in
-          if not (reachable_of st ~server:slot.server) then begin
-            Atomic.incr t.cut;
-            msg_point slot "cut" env
-          end
-          else if hit slot.wrng st.drop_requests then begin
-            Atomic.incr t.dropped;
-            msg_point slot "drop" env
-          end
-          else begin
-            let dup = hit slot.wrng t.cfg.dup_prob in
-            if dup then begin
-              Atomic.incr t.sent;
-              Atomic.incr t.duplicated;
-              msg_point slot "dup" env
-            end;
-            let delay_us =
-              if hit slot.wrng t.cfg.delay_prob && t.cfg.max_delay_us > 0
-              then begin
-                Atomic.incr t.delayed;
-                1 + Regemu_sim.Rng.int slot.wrng ~bound:t.cfg.max_delay_us
-              end
-              else 0
-            in
-            let slow_us = slow_of st ~server:slot.server in
-            if slow_us > 0 then Atomic.incr t.slowed;
-            let delay_us = delay_us + slow_us in
-            if delay_us > 0 then
-              Thread.delay (float_of_int delay_us *. 1e-6);
-            (* forward any parent-side register growth first, so the
-               child can step a Reg_* request the parent just set up *)
-            let want = t.server_regs slot.server in
-            if want > slot.child_regs then begin
-              try_write t slot (Codec.Ensure_regs want);
-              slot.child_regs <- want
-            end;
-            try_write t slot (Codec.Env env);
-            for _ = 1 to if dup then 1 else 0 do
-              try_write t slot (Codec.Env env)
-            done
-          end
+          Atomic.decr slot.queued;
+          (match draw t slot env with
+          | None -> ()
+          | Some (dup, delay_us) ->
+              if delay_us > 0 then begin
+                ignore (flush t c);
+                Thread.delay (float_of_int delay_us *. 1e-6)
+              end;
+              frame t slot c env ~dup);
+          go (n + 1)
+  in
+  go 0
+
+(* block until the child's socket takes bytes again; the timeout
+   re-checks [stop], and a dead child reads as writable *)
+let await_writable c =
+  try ignore (Unix.select [] [ c.tx ] [] 0.05)
+  with Unix.Unix_error _ -> Thread.delay 0.001
+
+let writer_loop t slot =
+  let ready () =
+    Atomic.get t.stopped || Atomic.get slot.backlog
+    || ((not (Mpsc.is_empty slot.outq)) && not (slot_gated t slot))
+  in
+  while not (Atomic.get t.stopped) do
+    if not (ready ()) then Mpsc.park slot.outq ~ready
+    else begin
+      Mutex.lock slot.wm;
+      let blocked =
+        match Atomic.get slot.child with
+        | None -> None
+        | Some c ->
+            drain t slot c;
+            if flush t c then None else Some c
+      in
+      Atomic.set slot.backlog (blocked <> None);
+      Mutex.unlock slot.wm;
+      Option.iter await_writable blocked
     end
   done
+
+(* The idle-slot fast path: [true] when the request left on this
+   thread (or was lost to a drawn fault), [false] when it must queue.
+   Idle is checked under [wm], taken only if free: no request queued
+   (the sender's own earlier ones included), no bytes waiting for the
+   writer thread, the slot open, and no delay or slow link to apply. *)
+let send_inline t slot env =
+  t.cfg.delay_prob = 0.0
+  && Atomic.get slot.queued = 0
+  && Mutex.try_lock slot.wm
+  &&
+  let sent =
+    match Atomic.get slot.child with
+    | Some c
+      when Atomic.get slot.queued = 0
+           && (not (Atomic.get slot.backlog))
+           && (not (slot_gated t slot))
+           && slow_of (Atomic.get t.state) ~server:slot.server = 0 ->
+        (match draw t slot env with
+        | None -> ()
+        | Some (dup, _) ->
+            frame t slot c env ~dup;
+            if not (flush t c) then begin
+              Atomic.set slot.backlog true;
+              Mpsc.wake slot.outq
+            end);
+        true
+    | _ -> false
+  in
+  Mutex.unlock slot.wm;
+  sent
 
 (* --- lifecycle ----------------------------------------------------------- *)
 
@@ -343,7 +467,7 @@ let start t =
     (fun slot ->
       let c = spawn_child t slot in
       Atomic.set slot.child (Some c);
-      add_reader t slot c.fd;
+      add_reader t slot c.rx;
       slot.writer <- Some (Thread.create (writer_loop t) slot))
     t.slots
 
@@ -351,9 +475,13 @@ let send t env =
   if not (Atomic.get t.stopped) then begin
     match env.dest with
     | To_server s when s >= 0 && s < t.nservers ->
+        let slot = t.slots.(s) in
         Atomic.incr t.sent;
-        msg_point t.slots.(s) "send" env;
-        Mpsc.push t.slots.(s).outq env
+        msg_point slot "send" env;
+        if not (send_inline t slot env) then begin
+          Atomic.incr slot.queued;
+          Mpsc.push slot.outq env
+        end
     | To_server _ -> ()
     | To_client _ ->
         (* parent-local: only possible if a layer above loops a reply
@@ -369,17 +497,21 @@ let check_server t what server =
       (Fmt.str "Transport.%s: server %d out of range [0,%d)" what server
          t.nservers)
 
+let child_pid t ~server =
+  check_server t "child_pid" server;
+  Option.map (fun c -> c.pid) (Atomic.get t.slots.(server).child)
+
 let kill_child slot =
   match Atomic.exchange slot.child None with
   | None -> ()
   | Some c ->
       (try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ());
       (try ignore (Unix.waitpid [] c.pid) with Unix.Unix_error _ -> ());
-      (* the reader blocked on [c.fd] sees EOF and exits; the fd is
-         parked until [stop] so its number cannot be reused under a
-         thread still touching it *)
+      (* the reader blocked on [c.rx] sees EOF and exits; the fds are
+         parked until [stop] so their numbers cannot be reused under a
+         thread still touching them *)
       Mutex.lock slot.rm;
-      slot.old_fds <- c.fd :: slot.old_fds;
+      slot.old_fds <- c.tx :: c.rx :: slot.old_fds;
       Mutex.unlock slot.rm
 
 let set_server_up t ~server v =
@@ -393,7 +525,7 @@ let set_server_up t ~server v =
     if Atomic.get slot.child = None && not (Atomic.get t.stopped) then begin
       let c = spawn_child t slot in
       Atomic.set slot.child (Some c);
-      add_reader t slot c.fd
+      add_reader t slot c.rx
     end;
     Atomic.set t.up.(server) true;
     Mpsc.wake slot.outq

@@ -1,7 +1,8 @@
 (* Tests for the pluggable transport backends: the lock-free MPSC ring
    under the [Domains] backend, the interruptible Alarm, the binary
-   codec of the [Socket] backend, and cluster-level smoke on both new
-   fabrics. *)
+   codec of the [Socket] backend and its buffered framing,
+   cluster-level smoke on both new fabrics, and the socket fabric's
+   non-blocking sends and end-of-run cleanup. *)
 
 open Regemu_objects
 open Regemu_live
@@ -195,6 +196,37 @@ let msgs =
           })
       values
 
+(* the framed bytes of [ms], back to back *)
+let frames ms =
+  String.concat ""
+    (List.map
+       (fun m ->
+         let body = Codec.encode m in
+         let hdr = Bytes.create 4 in
+         Bytes.set_int32_be hdr 0 (Int32.of_int (String.length body));
+         Bytes.to_string hdr ^ body)
+       ms)
+
+(* a byte source over [s] giving at most [chunk] bytes a read, and
+   the number of reads made of it *)
+let source ?(chunk = max_int) s =
+  let pos = ref 0 and reads = ref 0 in
+  let read b off len =
+    incr reads;
+    let n = min (min chunk len) (String.length s - !pos) in
+    Bytes.blit_string s !pos b off n;
+    pos := !pos + n;
+    n
+  in
+  (read, reads)
+
+(* every frame up to the clean EOF *)
+let drain r =
+  let rec go acc =
+    match Codec.next r with None -> List.rev acc | Some m -> go (m :: acc)
+  in
+  go []
+
 let codec_tests =
   [
     test "every message round-trips byte-identically" (fun () ->
@@ -262,6 +294,96 @@ let codec_tests =
         | exception Codec.Malformed _ -> ()
         | _ -> Alcotest.fail "mid-frame EOF not rejected");
         Unix.close r);
+    test "buffered reader: frames fed one byte at a time" (fun () ->
+        let read, reads = source ~chunk:1 (frames msgs) in
+        let r = Codec.reader read in
+        Alcotest.(check bool) "every frame, in order" true (drain r = msgs);
+        Alcotest.(check int) "one read per byte, plus EOF"
+          (String.length (frames msgs) + 1)
+          !reads);
+    test "buffered reader: many frames from one read" (fun () ->
+        let read, reads = source (frames msgs) in
+        let r = Codec.reader read in
+        Alcotest.(check bool) "first frame" true
+          (Codec.next r = Some (List.hd msgs));
+        Alcotest.(check int) "one read so far" 1 !reads;
+        Alcotest.(check bool) "the rest is buffered" true (Codec.buffered r);
+        Alcotest.(check bool) "the rest, in order" true
+          (drain r = List.tl msgs);
+        Alcotest.(check int) "one read for every frame, one for EOF" 2 !reads);
+    test "buffered reader: a frame larger than the buffer" (fun () ->
+        let big =
+          Codec.Env
+            {
+              Transport_intf.src = 1;
+              dest = Transport_intf.To_client 4;
+              payload =
+                Proto.Query_reply { rid = 8; stored = Value.Str (String.make 5000 'v') };
+            }
+        in
+        let sent = [ List.nth msgs 3; big; List.nth msgs 4 ] in
+        let read, _ = source ~chunk:700 (frames sent) in
+        Alcotest.(check bool) "frames round-trip through a 16-byte start" true
+          (drain (Codec.reader ~size:16 read) = sent));
+    test "buffered reader: clean EOF at a frame boundary is None" (fun () ->
+        let read, _ = source "" in
+        Alcotest.(check bool) "empty input" true
+          (Codec.next (Codec.reader read) = None);
+        let read, _ = source ~chunk:3 (frames [ List.nth msgs 2 ]) in
+        let r = Codec.reader read in
+        Alcotest.(check bool) "the frame" true
+          (Codec.next r = Some (List.nth msgs 2));
+        Alcotest.(check bool) "then None" true (Codec.next r = None);
+        Alcotest.(check bool) "and None again" true (Codec.next r = None));
+    test "buffered reader: mid-frame EOF is Malformed" (fun () ->
+        let s = frames [ List.nth msgs 1; List.nth msgs 5 ] in
+        (* every cut inside the second frame, header included *)
+        let first = String.length (frames [ List.nth msgs 1 ]) in
+        for cut = first + 1 to String.length s - 1 do
+          let read, _ = source ~chunk:5 (String.sub s 0 cut) in
+          let r = Codec.reader read in
+          Alcotest.(check bool) "first frame intact" true
+            (Codec.next r = Some (List.nth msgs 1));
+          match Codec.next r with
+          | exception Codec.Malformed _ -> ()
+          | _ -> Alcotest.failf "EOF after %d bytes not rejected" cut
+        done);
+    test "buffered writer: a peer that does not read never blocks flush"
+      (fun () ->
+        let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.set_nonblock a;
+        let w = Codec.writer a in
+        let big i =
+          Codec.Env
+            {
+              Transport_intf.src = i;
+              dest = Transport_intf.To_server 0;
+              payload = Proto.Update { rid = i; proposed = Value.Str (String.make 4096 'x') };
+            }
+        in
+        let count = 2000 in
+        let sent = List.init count big in
+        List.iter (Codec.add w) sent;
+        Alcotest.(check bool) "8 MB outruns the socket buffer" false
+          (Codec.flush w);
+        let got = ref [] in
+        let peer =
+          Thread.create
+            (fun () ->
+              let r = Codec.fd_reader b in
+              for _ = 1 to count do
+                got := Option.get (Codec.next r) :: !got
+              done)
+            ()
+        in
+        while not (Codec.flush w) do
+          ignore (Unix.select [] [ a ] [] 1.0)
+        done;
+        Thread.join peer;
+        Unix.close a;
+        Unix.close b;
+        Alcotest.(check bool) "every frame arrives, in order" true
+          (List.rev !got = sent));
   ]
 
 (* --- domains transport --------------------------------------------------- *)
@@ -419,6 +541,109 @@ let cluster_tests =
           (Cluster.stats cluster).Cluster.ops_completed);
   ]
 
+(* --- socket fabric ---------------------------------------------------------- *)
+
+let socket_cluster_cfg ~seed =
+  let base = Cluster.default_config ~n:3 ~seed in
+  {
+    base with
+    Cluster.transport =
+      {
+        base.Cluster.transport with
+        Transport.backend = Transport.Socket;
+        reorder = false;
+      };
+  }
+
+let socket_tests =
+  [
+    test "socket: sends to a child that does not read never block, and \
+          arrive in order once it reads" (fun () ->
+        let got = ref [] and lock = Mutex.create () in
+        let deliver (e : Transport.envelope) =
+          Mutex.lock lock;
+          got := Proto.rid_of e.payload :: !got;
+          Mutex.unlock lock
+        in
+        let delivered () =
+          Mutex.lock lock;
+          let n = List.length !got in
+          Mutex.unlock lock;
+          n
+        in
+        let tr =
+          Transport_socket.create
+            {
+              (Transport.default_config ~seed:3) with
+              reorder = false;
+              backend = Transport.Socket;
+            }
+            ~servers:1 ~deliver
+            ~server_regs:(fun _ -> 0)
+        in
+        Transport_socket.start tr;
+        let pid = Option.get (Transport_socket.child_pid tr ~server:0) in
+        Unix.kill pid Sys.sigstop;
+        (* 2000 frames of 4 KiB: far more than the socket buffers hold *)
+        let count = 2000 in
+        let proposed = Value.Str (String.make 4096 'x') in
+        let sent = Atomic.make 0 in
+        let sender =
+          Thread.create
+            (fun () ->
+              for rid = 0 to count - 1 do
+                Transport_socket.send tr
+                  {
+                    Transport.src = 0;
+                    dest = Transport.To_server 0;
+                    payload = Proto.Update { rid; proposed };
+                  };
+                Atomic.incr sent
+              done)
+            ()
+        in
+        let returned = settle ~deadline_s:10.0 (fun () -> Atomic.get sent) count in
+        let early = delivered () in
+        Unix.kill pid Sys.sigcont;
+        Thread.join sender;
+        Alcotest.(check bool) "every send returned while the child slept" true
+          returned;
+        Alcotest.(check bool) "the child had not answered them all" true
+          (early < count);
+        let all = settle ~deadline_s:20.0 delivered count in
+        Transport_socket.stop tr;
+        Alcotest.(check bool) "every reply arrives" true all;
+        Alcotest.(check (list int)) "in send order"
+          (List.init count Fun.id) (List.rev !got));
+    test "socket: crash/restart and shutdown leave no child and no fd"
+      (fun () ->
+        let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+        let before = fds () in
+        let cluster = Cluster.create (socket_cluster_cfg ~seed:14) in
+        let abd = Abd_live.create cluster ~f:1 () in
+        let w = Cluster.new_client cluster in
+        let r = Cluster.new_client cluster in
+        Cluster.start cluster;
+        Abd_live.write abd w (Value.Int 0);
+        Cluster.crash cluster 1;
+        for i = 1 to 5 do
+          Abd_live.write abd w (Value.Int i);
+          ignore (Abd_live.read abd r)
+        done;
+        Cluster.restart cluster 1;
+        for i = 6 to 10 do
+          Abd_live.write abd w (Value.Int i);
+          ignore (Abd_live.read abd r)
+        done;
+        Cluster.shutdown cluster;
+        (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+        | 0, _ -> Alcotest.fail "a server child is still running"
+        | pid, _ -> Alcotest.failf "child %d was left unreaped" pid);
+        Alcotest.(check int) "open fds back to the count before create"
+          before (fds ()));
+  ]
+
 let suites =
   [
     ("backend.mpsc", mpsc_tests);
@@ -426,4 +651,5 @@ let suites =
     ("backend.codec", codec_tests);
     ("backend.domains", domains_tests);
     ("backend.cluster", cluster_tests);
+    ("backend.socket", socket_tests);
   ]

@@ -715,7 +715,7 @@ let cluster_tests =
    per lane keeps each lane FIFO, so a duplicate lands before anything
    sent after it (Algorithm 2's plain-overwrite cells assume no stale
    copy overtakes a newer write). *)
-let quiet_cfg ?(dup_prob = 0.0) ~seed () =
+let quiet_cfg ?(backend = Transport.Threads) ?(dup_prob = 0.0) ~seed () =
   let base = Cluster.default_config ~n:3 ~seed in
   {
     base with
@@ -725,6 +725,7 @@ let quiet_cfg ?(dup_prob = 0.0) ~seed () =
         Transport.reorder = false;
         couriers = 1;
         dup_prob;
+        backend;
       };
   }
 
@@ -793,6 +794,46 @@ let backlog_run recovery =
   Cluster.shutdown cluster;
   (List.rev !replies, Value.to_string content)
 
+(* Algorithm 2, one writer and one reader, 150 ops each on a fabric
+   that duplicates 30% of the sends: every op completes within the
+   watchdog and the history is WS-regular *)
+let alg2_dup_run backend =
+  let n_ops = 150 in
+  let cluster = Cluster.create (quiet_cfg ~backend ~dup_prob:0.3 ~seed:7 ()) in
+  let w = Cluster.new_client cluster in
+  let r = Cluster.new_client cluster in
+  let alg =
+    Alg2_live.create cluster
+      (Regemu_bounds.Params.make_exn ~k:1 ~f:1 ~n:3)
+      ~writers:[ w ] ()
+  in
+  Cluster.start cluster;
+  let checker = Checker.spawn cluster () in
+  under_watchdog
+    [
+      (fun () ->
+        for i = 1 to n_ops do
+          Alg2_live.write alg w (Value.Int i)
+        done);
+      (fun () ->
+        for _ = 1 to n_ops do
+          ignore (Alg2_live.read alg r)
+        done);
+    ];
+  let res = Checker.stop checker in
+  let st = Cluster.stats cluster in
+  Cluster.shutdown cluster;
+  Alcotest.(check int) "every op completed" (2 * n_ops)
+    st.Cluster.ops_completed;
+  Alcotest.(check bool) "messages were duplicated" true
+    (st.Cluster.msgs_duplicated > 0);
+  match res.Checker.ws with
+  | Regemu_history.Ws_check.Holds -> ()
+  | Violated v ->
+      Alcotest.failf "WS-Regularity violated: %a"
+        Regemu_history.Ws_check.violation_pp v
+  | Vacuous -> Alcotest.fail "one writer: the verdict must not be vacuous"
+
 let inline_tests =
   [
     test "an unscheduled threads run parks nothing in a mailbox" (fun () ->
@@ -825,41 +866,13 @@ let inline_tests =
            acks arrive late, via a courier: the stale ones make the
            reply handler re-send, and that re-send steps a server and
            dispatches its reply back into the same client *)
-        let n_ops = 150 in
-        let cluster = Cluster.create (quiet_cfg ~dup_prob:0.3 ~seed:7 ()) in
-        let w = Cluster.new_client cluster in
-        let r = Cluster.new_client cluster in
-        let alg =
-          Alg2_live.create cluster
-            (Regemu_bounds.Params.make_exn ~k:1 ~f:1 ~n:3)
-            ~writers:[ w ] ()
-        in
-        Cluster.start cluster;
-        let checker = Checker.spawn cluster () in
-        under_watchdog
-          [
-            (fun () ->
-              for i = 1 to n_ops do
-                Alg2_live.write alg w (Value.Int i)
-              done);
-            (fun () ->
-              for _ = 1 to n_ops do
-                ignore (Alg2_live.read alg r)
-              done);
-          ];
-        let res = Checker.stop checker in
-        let st = Cluster.stats cluster in
-        Cluster.shutdown cluster;
-        Alcotest.(check int) "every op completed" (2 * n_ops)
-          st.Cluster.ops_completed;
-        Alcotest.(check bool) "messages were duplicated" true
-          (st.Cluster.msgs_duplicated > 0);
-        match res.Checker.ws with
-        | Regemu_history.Ws_check.Holds -> ()
-        | Violated v ->
-            Alcotest.failf "WS-Regularity violated: %a"
-              Regemu_history.Ws_check.violation_pp v
-        | Vacuous -> Alcotest.fail "one writer: the verdict must not be vacuous");
+        alg2_dup_run Transport.Threads);
+    test "socket: algorithm 2 with duplicates on the inline write path"
+      (fun () ->
+        (* requests leave on the sending thread (a client, or a reader
+           thread running a reply handler's re-send) and duplicates are
+           written back to back: nothing may block or reorder them *)
+        alg2_dup_run Transport.Socket);
     test "mail for a crashed server is stepped on restart, in arrival order"
       (fun () ->
         Alcotest.(check (pair (list string) string))
