@@ -1,7 +1,8 @@
-(* Behaviour oracles for the message-passing algorithms: fixed-seed
-   fingerprints of every registry algorithm under the deterministic
-   scheduler (Dst.run_digest) and of every wire protocol on the
-   simulated network (history MD5 plus delivered-message count).
+(* Behaviour oracles for the emulations: fixed-seed fingerprints of
+   every registry algorithm under the deterministic scheduler
+   (Dst.run_digest), of every wire protocol on the simulated network
+   (history MD5 plus delivered-message count), and of the shared-memory
+   emulations on the simulator (trace MD5 plus object count).
 
    The values were recorded before the algorithms were rewritten as one
    functor each over Net and Cluster; any change to the order of
@@ -160,4 +161,150 @@ let net_tests =
                 "md5/delivered" expected (fingerprint r)))
     net_goldens
 
-let suites = [ ("golden:dst", dst_tests); ("golden:net", net_tests) ]
+(* --- Sim fingerprints ----------------------------------------------------- *)
+
+(* Fixed-seed runs of the shared-memory emulations on the simulator
+   under the random policy: the MD5 of the printed trace (every
+   trigger, respond, invoke and return, with object and operation ids)
+   plus the object count the construction allocated.  Any change to the
+   order in which an emulation allocates objects or triggers low-level
+   operations shows here. *)
+
+module Sim = Regemu_sim.Sim
+module Trace = Regemu_sim.Trace
+module Rng = Regemu_sim.Rng
+module Policy = Regemu_sim.Policy
+module Driver = Regemu_sim.Driver
+module Scenario = Regemu_workload.Scenario
+module Value = Regemu_objects.Value
+
+let sim_fingerprint sim ~objects =
+  Fmt.str "%s/%d"
+    (Digest.to_hex (Digest.string (Fmt.str "%a" Trace.pp (Sim.trace sim))))
+    objects
+
+let p_sim = Regemu_bounds.Params.make_exn ~k:3 ~f:1 ~n:4
+
+let scenario_fingerprint (factory : Regemu_core.Emulation.factory) scenario =
+  let r =
+    match scenario with
+    | `Seq ->
+        Scenario.write_sequential factory p_sim ~read_after_each:true
+          ~rounds:2 ~seed:31 ()
+    | `Conc ->
+        Scenario.concurrent_reads factory p_sim ~rounds:2 ~readers:2
+          ~crashes:1 ~seed:47 ()
+    | `Chaos ->
+        Scenario.chaos factory p_sim ~writes_per_writer:2 ~readers:2
+          ~reads_per_reader:2 ~crashes:1 ~seed:59 ()
+    | `Held ->
+        (* responses held back for a while and no crash: writes from an
+           older quorum write are still pending when the writer's next
+           write starts and respond later, so Algorithm 2's re-sends of
+           covered registers show *)
+        Scenario.concurrent_reads factory p_sim
+          ~policy:(fun rng ->
+            Policy.procrastinating rng ~hold_percent:30 ~hold_steps:200)
+          ~rounds:3 ~readers:2 ~crashes:0 ~seed:71 ()
+  in
+  match r with
+  | Error e -> Alcotest.failf "%a" Scenario.error_pp e
+  | Ok r ->
+      sim_fingerprint r.sim
+        ~objects:(List.length (r.instance.Regemu_core.Emulation.objects ()))
+
+(* Algorithm 2 with reader write-back has no factory (its readers need
+   slots): sequential writes, reads at random moments, one crash *)
+let rwb_fingerprint ~seed =
+  let p = Regemu_bounds.Params.make_exn ~k:2 ~f:1 ~n:4 in
+  let sim = Sim.create ~n:4 () in
+  let writers = List.init 2 (fun _ -> Sim.new_client sim) in
+  let readers = List.init 2 (fun _ -> Sim.new_client sim) in
+  let t = Regemu_baselines.Algorithm2_rwb.create sim p ~writers ~readers in
+  let rng = Rng.create seed in
+  let policy = Policy.uniform (Rng.split rng) in
+  let reads = ref [] in
+  let maybe_read () =
+    if Rng.int rng ~bound:6 = 0 then
+      match List.filter (fun c -> not (Sim.client_busy sim c)) readers with
+      | [] -> ()
+      | idle ->
+          reads :=
+            Regemu_baselines.Algorithm2_rwb.read t (Rng.pick rng idle)
+            :: !reads
+  in
+  List.iteri
+    (fun i w ->
+      if i = 2 then Sim.crash_server sim (Regemu_objects.Id.Server.of_int 1);
+      let call = Regemu_baselines.Algorithm2_rwb.write t w (Value.Int i) in
+      let rec drive budget =
+        if budget = 0 then Alcotest.fail "write stalled";
+        if not (Sim.call_returned call) then begin
+          maybe_read ();
+          ignore (Driver.step sim policy);
+          drive (budget - 1)
+        end
+      in
+      drive 100_000)
+    (writers @ writers);
+  (match
+     Driver.run_until sim policy ~budget:200_000 (fun () ->
+         List.for_all Sim.call_returned !reads)
+   with
+  | Driver.Satisfied -> ()
+  | o -> Alcotest.failf "drain: %a" Driver.outcome_pp o);
+  sim_fingerprint sim
+    ~objects:(List.length (Regemu_baselines.Algorithm2_rwb.objects t))
+
+let factory_of = function
+  | "algorithm2" -> Regemu_core.Algorithm2.factory
+  | "abd-max" -> Regemu_baselines.Abd_max.factory
+  | "abd-max-atomic" -> Regemu_baselines.Abd_max_atomic.factory
+  | a -> Alcotest.failf "no factory %s" a
+
+(* (algo, scenario, expected "md5/objects") *)
+let sim_goldens =
+  [
+    ("algorithm2", `Seq, "77907fbaad94e4e1ea9917208b6283f2/7");
+    ("algorithm2", `Conc, "58e15002a2179c705a2d579ab9093800/7");
+    ("algorithm2", `Chaos, "c6c5ff2bbae99f1141a1cc84f2f70847/7");
+    ("algorithm2", `Held, "03bc85194508eebb9c57c3715c0e2eb7/7");
+    ("abd-max", `Seq, "25ca15554303890388254e0389821d08/3");
+    ("abd-max", `Conc, "b1d04159b1401626d28034789b0b7ba4/3");
+    ("abd-max", `Chaos, "6832bbfc642b7423b679e12805c0d5f3/3");
+    ("abd-max-atomic", `Seq, "be121b0511e21570dda634f56f2e6865/3");
+    ("abd-max-atomic", `Conc, "be0a392e2748bbfd4a564f6c5128b3ca/3");
+    ("abd-max-atomic", `Chaos, "af1b799ea8eb3a9c3849616868fb2f1a/3");
+    ("abd-max-atomic", `Held, "43abb927ca6f5c564a5ef73a04f08da2/3");
+    ("algorithm2-rwb", `Seed 7, "e44705e5b8628c32ee2cd33755b462c9/8");
+    ("algorithm2-rwb", `Seed 8, "8908592e0e4ce58ac1f0e16d435a9a1f/8");
+  ]
+
+let sim_tests =
+  List.map
+    (fun (algo, scenario, expected) ->
+      let label =
+        match scenario with
+        | `Seq -> "sequential"
+        | `Conc -> "concurrent"
+        | `Chaos -> "chaos"
+        | `Held -> "held responses"
+        | `Seed s -> Fmt.str "seed %d" s
+      in
+      test (Fmt.str "sim fingerprint: %s %s" algo label) (fun () ->
+          let got =
+            match scenario with
+            | `Seed seed -> rwb_fingerprint ~seed
+            | (`Seq | `Conc | `Chaos | `Held) as sc ->
+                scenario_fingerprint (factory_of algo) sc
+          in
+          Alcotest.(check string) "md5/objects" expected got))
+    sim_goldens
+
+let suites =
+  [
+    ("golden:dst", dst_tests);
+    ("golden:net", net_tests);
+    ("golden:sim", sim_tests);
+  ]
+
