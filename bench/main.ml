@@ -188,8 +188,7 @@ let bench_tests =
     (* Figure 1: layout construction *)
     Test.make ~name:"fig1/layout-build"
       (Staged.stage (fun () ->
-           let sim = Regemu_sim.Sim.create ~n:6 () in
-           ignore (Regemu_core.Layout.build sim fig1_params)));
+           ignore (Regemu_bounds.Layout.make fig1_params)));
     (* Figure 2: the violating schedule *)
     Test.make ~name:"fig2/violation"
       (Staged.stage (fun () ->

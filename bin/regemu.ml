@@ -38,15 +38,9 @@ let emit_bench ?path gate ~seed ~smoke rows =
        (Regemu_obs.Benchdoc.emit ?path gate ~seed ~smoke rows))
 
 let factories =
-  [
-    ("algorithm2", Regemu_core.Algorithm2.factory);
-    ("abd-max", Regemu_baselines.Abd_max.factory);
-    ("abd-cas", Regemu_baselines.Abd_cas.factory);
-    ("abd-max-atomic", Regemu_baselines.Abd_max_atomic.factory);
-    ("layered", Regemu_baselines.Layered.factory);
-    ("naive-reg", Regemu_baselines.Naive_reg.factory);
-    ("waitall-reg", Regemu_baselines.Waitall_reg.factory);
-  ]
+  List.map
+    (fun (f : Regemu_core.Emulation.factory) -> (f.name, f))
+    Regemu_baselines.Factories.all
 
 let algo_arg =
   Arg.(

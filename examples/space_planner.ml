@@ -30,15 +30,7 @@ let plan ~k ~f ~n ~capacity =
         Fmt.(brackets (list ~sep:semi int))
         (Formulas.set_sizes p);
       (* does it fit per-server storage? *)
-      let sim = Regemu_sim.Sim.create ~n () in
-      let layout = Regemu_core.Layout.build sim p in
-      let max_load =
-        List.fold_left
-          (fun acc s ->
-            Stdlib.max acc
-              (List.length (Regemu_core.Layout.objects_on layout s)))
-          0 (Regemu_sim.Sim.servers sim)
-      in
+      let max_load = Layout.max_load (Layout.make p) in
       Fmt.pr "  heaviest server stores  %d registers@." max_load;
       if max_load <= capacity then Fmt.pr "  fits capacity %d: yes@." capacity
       else begin
@@ -53,15 +45,7 @@ let plan ~k ~f ~n ~capacity =
             match Params.make ~k ~f ~n:n' with
             | Error _ -> search (n' + 1)
             | Ok p' ->
-                let sim' = Regemu_sim.Sim.create ~n:n' () in
-                let l' = Regemu_core.Layout.build sim' p' in
-                let load =
-                  List.fold_left
-                    (fun acc s ->
-                      Stdlib.max acc
-                        (List.length (Regemu_core.Layout.objects_on l' s)))
-                    0 (Regemu_sim.Sim.servers sim')
-                in
+                let load = Layout.max_load (Layout.make p') in
                 if load <= capacity then Some (n', load) else search (n' + 1)
         in
         match search n with

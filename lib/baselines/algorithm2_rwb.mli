@@ -4,7 +4,9 @@
     the space complexity (assuming read/write registers) in this case
     also linearly depends on the number of readers."}
 
-    Construction: run Algorithm 2's layout for [k + r] slots, giving
+    Construction ({!Regemu_netsim.Alg2} with [readers], over
+    {!Regemu_netsim.Runtime.Shm}): run Algorithm 2's layout for
+    [k + r] slots, giving
     every one of the [r] registered readers its own register set.  A
     read collects as usual, then {e writes the value it is about to
     return} into its own set with the same covering discipline writers

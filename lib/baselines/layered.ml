@@ -84,7 +84,7 @@ let make sim (p : Params.t) ~writers =
           (Emulation.collect sim ~client:c ~objects_on ~n:p.n ~f:p.f))
   in
   {
-    Emulation.algo = "layered-2f+1";
+    Emulation.algo = "layered";
     kind = Base_object.Register;
     params = p;
     write;
@@ -94,7 +94,7 @@ let make sim (p : Params.t) ~writers =
 
 let factory =
   {
-    Emulation.name = "layered-2f+1";
+    Emulation.name = "layered";
     obj_kind = Base_object.Register;
     expected_objects = (fun p -> ((2 * p.f) + 1) * p.k);
     make;

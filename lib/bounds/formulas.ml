@@ -27,6 +27,8 @@ let per_server_lower_bound_at_minimum_n (p : Params.t) =
     invalid_arg "per_server_lower_bound_at_minimum_n: requires n = 2f+1";
   p.k
 
+let cds_cells (p : Params.t) = p.k * ((2 * p.f) + 1)
+
 let min_servers ~k ~f ~capacity =
   if capacity <= 0 then invalid_arg "Formulas.min_servers: capacity <= 0";
   ceil_div (k * f) capacity + f + 1

@@ -42,6 +42,10 @@ val maxreg_bound : Params.t -> int
 
 val cas_bound : Params.t -> int
 
+(** The CDS data store's base objects: one per-writer max-register slot
+    on each of [2f+1] replicas, [k(2f+1)]. *)
+val cds_cells : Params.t -> int
+
 (** Theorem 2: a wait-free [k]-writer max-register built from wait-free
     MWMR atomic registers needs at least [k] of them (no failures). *)
 val maxreg_register_lower_bound : k:int -> int

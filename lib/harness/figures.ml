@@ -1,17 +1,34 @@
 open Regemu_bounds
-open Regemu_core
 open Regemu_adversary
 
 let figure1 ?params () =
   let p =
     match params with Some p -> p | None -> Params.make_exn ~k:5 ~f:2 ~n:6
   in
-  let sim = Regemu_sim.Sim.create ~n:p.Params.n () in
-  let layout = Layout.build sim p in
+  let layout = Layout.make p in
+  (* registers are numbered in allocation order, as Algorithm 2
+     allocates them on a fresh simulator *)
+  let cells =
+    List.mapi
+      (fun i (c : Layout.cell) -> (Regemu_objects.Id.Obj.of_int i, c))
+      (Layout.cells layout)
+  in
+  let pp_server ppf s =
+    let stored = List.filter (fun (_, (c : Layout.cell)) -> c.server = s) cells in
+    Fmt.pf ppf "%a: %s@." Regemu_objects.Id.Server.pp
+      (Regemu_objects.Id.Server.of_int s)
+      (String.concat " "
+         (List.map
+            (fun (b, (c : Layout.cell)) ->
+              Fmt.str "%a(R%d)" Regemu_objects.Id.Obj.pp b c.set)
+            stored))
+  in
   Fmt.str
     "Figure 1: mapping from R to S for %a (z=%d, y=%d, %d sets, %d registers)@.%a"
     Params.pp p (Formulas.z p) (Formulas.y p) (Layout.num_sets layout)
-    (Layout.size layout) Layout.pp layout
+    (Layout.size layout)
+    (Fmt.iter ~sep:Fmt.nop List.iter pp_server)
+    (List.init p.n Fun.id)
 
 let figure2 ?(f = 2) () =
   match Violation.against_naive ~f with

@@ -112,19 +112,18 @@ let theorem2 ~ks =
 let theorem6 ~k ~f =
   let n = (2 * f) + 1 in
   let p = Params.make_exn ~k ~f ~n in
-  let sim = Sim.create ~n () in
-  let layout = Layout.build sim p in
+  let layout = Layout.make p in
   let rows =
     List.map
       (fun s ->
-        let stored = List.length (Layout.objects_on layout s) in
+        let stored = List.length (Layout.on_server layout (Id.Server.to_int s)) in
         [
           Fmt.str "%a" Id.Server.pp s;
           Report.cell_int stored;
           Report.cell_int (Formulas.per_server_lower_bound_at_minimum_n p);
           Report.cell_bool (stored >= k);
         ])
-      (Sim.servers sim)
+      (Id.Server.range n)
   in
   {
     Report.title =
@@ -206,11 +205,7 @@ let theorem6_adversarial ~k ~f ~seed =
         }
 
 let max_per_server_load (p : Params.t) =
-  let sim = Sim.create ~n:p.n () in
-  let layout = Layout.build sim p in
-  List.fold_left
-    (fun acc s -> Stdlib.max acc (List.length (Layout.objects_on layout s)))
-    0 (Sim.servers sim)
+  Layout.max_load (Layout.make p)
 
 let theorem7 ~k ~f ~capacities =
   let rows =

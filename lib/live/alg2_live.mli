@@ -11,9 +11,17 @@ type t
 
 (** [create cluster p ~writers ()] allocates the layout's register
     cells (call before {!Cluster.start}) and registers the [k] writer
-    clients.  [naive] uses the unsafe 2f+1-cell strawman instead. *)
+    clients.  [naive] uses the unsafe 2f+1-cell strawman instead; see
+    {!Regemu_netsim.Alg2.Make.create} for [placement] and [readers]. *)
 val create :
-  Cluster.t -> Params.t -> ?naive:bool -> writers:Cluster.client list -> unit -> t
+  Cluster.t ->
+  Params.t ->
+  ?naive:bool ->
+  ?placement:Layout.placement ->
+  writers:Cluster.client list ->
+  ?readers:Cluster.client list ->
+  unit ->
+  t
 
 (** Total register cells allocated. *)
 val cells : t -> int

@@ -285,32 +285,6 @@ let decode s =
 
 (* --- framing ------------------------------------------------------------- *)
 
-(* read exactly [len] bytes; [`Eof] only at offset 0 (a clean
-   inter-frame boundary), otherwise a mid-frame EOF is malformed *)
-let read_exactly fd len what =
-  let buf = Bytes.create len in
-  let rec go pos =
-    if pos >= len then `Ok buf
-    else
-      match Unix.read fd buf pos (len - pos) with
-      | 0 -> if pos = 0 then `Eof else bad "eof inside %s" what
-      | n -> go (pos + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
-  in
-  go 0
-
-let read_msg fd =
-  match read_exactly fd 4 "frame header" with
-  | `Eof -> None
-  | `Ok hdr ->
-      let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
-      if len <= 0 || len > max_frame then bad "frame length %d" len;
-      (match read_exactly fd len "frame body" with
-      | `Eof -> bad "eof inside frame body"
-      | `Ok body -> Some (decode (Bytes.to_string body)))
-
-(* --- buffered framing ---------------------------------------------------- *)
-
 (* A frame reader over a byte source.  One [read] takes whatever the
    source has ready, and {!next} hands out every complete frame in it
    before reading again.  Bytes [lo, hi) of [rbuf] are buffered and
@@ -426,8 +400,3 @@ let rec flush w =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush w
-
-let write_msg fd msg =
-  let w = writer fd in
-  add w msg;
-  ignore (flush w)

@@ -26,18 +26,11 @@ val encode : msg -> string
     otherwise. *)
 val decode : string -> msg
 
-(** Write one framed message; blocks until fully written. *)
-val write_msg : Unix.file_descr -> msg -> unit
+(** {2 Framing}
 
-(** Read one framed message; [None] on a clean EOF at a frame
-    boundary, {!Malformed} on a mid-frame EOF or a bad body. *)
-val read_msg : Unix.file_descr -> msg option
-
-(** {2 Buffered framing}
-
-    The same frames, read and written in batches: one [read] yields
-    every complete frame it holds, and one [write] carries every frame
-    queued since the last. *)
+    Frames are read and written in batches: one [read] yields every
+    complete frame it holds, and one [write] carries every frame queued
+    since the last. *)
 
 type reader
 

@@ -9,8 +9,17 @@ open Regemu_objects
 type t
 
 (** [create net p ~writers] allocates the layout's cells on [net]'s
-    servers.  [~naive:true] builds the 2f+1-cell strawman instead. *)
-val create : Net.t -> Params.t -> ?naive:bool -> writers:Id.Client.t list -> unit -> t
+    servers.  [~naive:true] builds the 2f+1-cell strawman instead; see
+    {!Alg2.Make.create} for [placement] and [readers]. *)
+val create :
+  Net.t ->
+  Params.t ->
+  ?naive:bool ->
+  ?placement:Layout.placement ->
+  writers:Id.Client.t list ->
+  ?readers:Id.Client.t list ->
+  unit ->
+  t
 
 (** Total register cells allocated. *)
 val cells : t -> int

@@ -9,16 +9,33 @@ type manifest = {
   smoke : bool;
 }
 
+(* the lines a git command prints, or [None] when git or the
+   repository is missing *)
+let git args =
+  match Unix.open_process_in ("git " ^ args ^ " 2>/dev/null") with
+  | exception Unix.Unix_error _ -> None
+  | ic -> (
+      let rec lines acc =
+        match input_line ic with
+        | l -> lines (l :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      let out = lines [] in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> Some out
+      | _ -> None)
+
+let commit_label ~head ~status =
+  match head with
+  | Some [ sha ] when String.length sha = 40 -> (
+      match status with Some [] | None -> sha | Some _ -> sha ^ "-dirty")
+  | _ -> "unknown"
+
 (* the commit this binary was run from; a checkout without git (or
    without a repository) still gets a manifest *)
 let commit () =
-  match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
-  | exception Unix.Unix_error _ -> "unknown"
-  | ic -> (
-      let line = try input_line ic with End_of_file -> "" in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 when String.length line = 40 -> line
-      | _ -> "unknown")
+  commit_label ~head:(git "rev-parse HEAD")
+    ~status:(git "status --porcelain --untracked-files=no")
 
 let manifest ~bench ~seed ~smoke =
   {

@@ -21,7 +21,9 @@ val schema : string
 
 type manifest = {
   bench : string;  (** which bench wrote the file, e.g. ["saturate"] *)
-  commit : string;  (** [git rev-parse HEAD], or ["unknown"] *)
+  commit : string;
+      (** [git rev-parse HEAD], suffixed ["-dirty"] when tracked files
+          differ from it; ["unknown"] without git *)
   cores : int;  (** [Domain.recommended_domain_count ()] *)
   ocaml : string;  (** [Sys.ocaml_version] *)
   seed : int;
@@ -30,6 +32,12 @@ type manifest = {
 
 (** The manifest of a run made now, by this binary, on this machine. *)
 val manifest : bench:string -> seed:int -> smoke:bool -> manifest
+
+(** The manifest's [commit] from the output lines of [git rev-parse
+    HEAD] ([head]) and [git status --porcelain --untracked-files=no]
+    ([status]), [None] where the command failed: the SHA, with
+    ["-dirty"] appended when [status] lists any changed tracked file. *)
+val commit_label : head:string list option -> status:string list option -> string
 
 type row = {
   name : string;

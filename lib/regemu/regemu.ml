@@ -39,7 +39,7 @@ module Linearize = Regemu_history.Linearize
 
 (** {1 The paper's construction} *)
 
-module Layout = Regemu_core.Layout
+module Layout = Regemu_bounds.Layout
 module Emulation = Regemu_core.Emulation
 module Algorithm2 = Regemu_core.Algorithm2
 
@@ -55,6 +55,7 @@ module Layered = Regemu_baselines.Layered
 module Naive_reg = Regemu_baselines.Naive_reg
 module Waitall_reg = Regemu_baselines.Waitall_reg
 module Algorithm2_rwb = Regemu_baselines.Algorithm2_rwb
+module Cds_max = Regemu_baselines.Cds_max
 
 (** {1 The lower-bound machinery} *)
 
@@ -74,17 +75,11 @@ module Abd_net = Regemu_netsim.Abd_net
 module Alg2_net = Regemu_netsim.Alg2_net
 module Net_scenario = Regemu_netsim.Net_scenario
 module Net_lowerbound = Regemu_netsim.Net_lowerbound
-module Net_fuzz = Regemu_netsim.Net_fuzz
 
 (** {1 Systematic schedule exploration} *)
 
 module Explore = Regemu_mcheck.Explore
 module Net_explore = Regemu_mcheck.Net_explore
-
-(** {1 Applications} *)
-
-module Kv = Regemu_apps.Kv
-module Leaderboard = Regemu_apps.Leaderboard
 
 (** {1 Workloads and experiments} *)
 
@@ -94,14 +89,9 @@ module Table1 = Regemu_harness.Table1
 module Figures = Regemu_harness.Figures
 module Theorems = Regemu_harness.Theorems
 
-(** All register-emulation factories, keyed by name. *)
+(** All register-emulation factories, keyed by name
+    ({!Regemu_baselines.Factories}). *)
 let all_factories : (string * Emulation.factory) list =
-  [
-    ("algorithm2", Algorithm2.factory);
-    ("abd-max", Abd_max.factory);
-    ("abd-max-atomic", Abd_max_atomic.factory);
-    ("abd-cas", Abd_cas.factory);
-    ("layered-2f+1", Layered.factory);
-    ("naive-reg", Naive_reg.factory);
-    ("waitall-reg", Waitall_reg.factory);
-  ]
+  List.map
+    (fun (f : Emulation.factory) -> (f.name, f))
+    Regemu_baselines.Factories.all

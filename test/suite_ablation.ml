@@ -15,21 +15,27 @@ open Regemu_core
 
 let test name f = Alcotest.test_case name `Quick f
 
-let setup ~build ~k ~f ~n =
+let setup ~placement ~k ~f ~n =
   let p = Params.make_exn ~k ~f ~n in
   let sim = Sim.create ~n () in
   let writers = List.init k (fun _ -> Sim.new_client sim) in
-  let instance, layout = Algorithm2.make_with_layout ~build sim p ~writers in
-  (p, sim, instance, layout, writers)
+  let instance = Algorithm2.make ~placement sim p ~writers in
+  (p, sim, instance, Layout.make ~placement p, writers)
+
+(* the simulator objects of set 0: cells are allocated set by set *)
+let set0_objects (instance : Emulation.instance) layout =
+  List.filteri
+    (fun i _ -> i < Array.length (Layout.set layout 0))
+    (instance.objects ())
 
 let ablation_tests =
   [
     test "colocated layout really colocates" (fun () ->
-        let _, sim, _, layout, _ =
-          setup ~build:Layout.build_colocated ~k:1 ~f:1 ~n:3
+        let _, sim, instance, layout, _ =
+          setup ~placement:Layout.Colocated ~k:1 ~f:1 ~n:3
         in
         let servers =
-          Array.to_list (Layout.set layout 0)
+          set0_objects instance layout
           |> List.map (Sim.delta sim)
           |> Id.Server.set_of_list
         in
@@ -42,7 +48,7 @@ let ablation_tests =
         List.iter
           (fun victim ->
             let _, sim, instance, _, writers =
-              setup ~build:Layout.build ~k:1 ~f:1 ~n:3
+              setup ~placement:Layout.Spread ~k:1 ~f:1 ~n:3
             in
             Sim.crash_server sim (Id.Server.of_int victim);
             let call = instance.write (List.hd writers) (Value.Int 1) in
@@ -58,9 +64,9 @@ let ablation_tests =
         (* with registers 0 and 1 of the set sharing server 0, crashing
            it removes two registers; the quorum |R|-f is unreachable *)
         let _, sim, instance, layout, writers =
-          setup ~build:Layout.build_colocated ~k:1 ~f:1 ~n:3
+          setup ~placement:Layout.Colocated ~k:1 ~f:1 ~n:3
         in
-        let shared = Sim.delta sim (Layout.set layout 0).(0) in
+        let shared = Sim.delta sim (List.hd (set0_objects instance layout)) in
         Sim.crash_server sim shared;
         let call = instance.write (List.hd writers) (Value.Int 1) in
         match
@@ -72,7 +78,7 @@ let ablation_tests =
     test "without crashes the ablated layout still works (the flaw is \
           fault-tolerance, not logic)" (fun () ->
         let _, sim, instance, _, writers =
-          setup ~build:Layout.build_colocated ~k:2 ~f:1 ~n:3
+          setup ~placement:Layout.Colocated ~k:2 ~f:1 ~n:3
         in
         let policy = Policy.uniform (Rng.create 3) in
         List.iteri

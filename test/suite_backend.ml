@@ -268,18 +268,18 @@ let codec_tests =
         match Codec.decode (s ^ "\x00") with
         | exception Codec.Malformed _ -> ()
         | _ -> Alcotest.fail "trailing byte accepted");
-    test "framing: write_msg/read_msg over a pipe, EOF at a boundary"
+    test "framing: writer/fd_reader over a pipe, EOF at a boundary"
       (fun () ->
         let r, w = Unix.pipe ~cloexec:true () in
         let sent = [ List.nth msgs 0; List.nth msgs 3; List.nth msgs 9 ] in
-        List.iter (Codec.write_msg w) sent;
+        let out = Codec.writer w in
+        List.iter (Codec.add out) sent;
+        Alcotest.(check bool) "flushed" true (Codec.flush out);
         Unix.close w;
-        let got =
-          List.map (fun _ -> Option.get (Codec.read_msg r)) sent
-        in
+        let rd = Codec.fd_reader r in
+        let got = List.map (fun _ -> Option.get (Codec.next rd)) sent in
         Alcotest.(check bool) "frames round-trip in order" true (sent = got);
-        Alcotest.(check bool) "clean EOF is None" true
-          (Codec.read_msg r = None);
+        Alcotest.(check bool) "clean EOF is None" true (Codec.next rd = None);
         Unix.close r);
     test "framing: mid-frame EOF is Malformed" (fun () ->
         let r, w = Unix.pipe ~cloexec:true () in
@@ -290,7 +290,7 @@ let codec_tests =
         ignore (Unix.write w hdr 0 4);
         ignore (Unix.write_substring w s 0 (String.length s / 2));
         Unix.close w;
-        (match Codec.read_msg r with
+        (match Codec.next (Codec.fd_reader r) with
         | exception Codec.Malformed _ -> ()
         | _ -> Alcotest.fail "mid-frame EOF not rejected");
         Unix.close r);

@@ -3,8 +3,9 @@
    per-writer slot semantics in the protocol core, quorum rounds and
    multi-writer ordering on a tiny live cluster, resident-space
    accounting, the chaos arms (including the seeded amnesia violation
-   the checker must catch), DST determinism, and the compare bench's
-   coverage gate. *)
+   the checker must catch), DST determinism, the compare bench's
+   coverage gate, and the same functor on the shared-memory simulator
+   (Cds_max over Runtime.Shm). *)
 
 open Regemu_objects
 open Regemu_live
@@ -310,6 +311,58 @@ let compare_tests =
           (check (Json.Obj [ ("schema", Json.Str "regemu-compare/2") ])));
   ]
 
+(* --- on the shared-memory simulator ---------------------------------------- *)
+
+module Scenario = Regemu_workload.Scenario
+module Ws_check = Regemu_history.Ws_check
+
+let cds_sim = Regemu_baselines.Cds_max.factory
+
+let scenario_ok = function
+  | Ok r -> r
+  | Error e -> Alcotest.failf "%a" Scenario.error_pp e
+
+let holds label = function
+  | Ws_check.Holds -> ()
+  | v -> Alcotest.failf "%s: %a" label Ws_check.verdict_pp v
+
+let shm_tests =
+  let p = Regemu_bounds.Params.make_exn ~k:3 ~f:1 ~n:4 in
+  [
+    test "k(2f+1) max-registers, all written in a sequential run" (fun () ->
+        let r =
+          scenario_ok
+            (Scenario.write_sequential cds_sim p ~read_after_each:true
+               ~rounds:1 ~seed:3 ())
+        in
+        Alcotest.(check int) "allocated" 9 (List.length (r.instance.objects ()));
+        Alcotest.(check int) "formula" 9 (cds_sim.expected_objects p);
+        Alcotest.(check bool) "used within allocation" true
+          (r.objects_used <= 9));
+    test "WS-Safe on sequential writes and reads" (fun () ->
+        let r =
+          scenario_ok
+            (Scenario.write_sequential cds_sim p ~read_after_each:true
+               ~rounds:2 ~seed:11 ())
+        in
+        holds "ws-safe" (Ws_check.check_ws_safe r.history));
+    test "WS-Regular with concurrent reads and f crashes" (fun () ->
+        let r =
+          scenario_ok
+            (Scenario.concurrent_reads cds_sim p ~rounds:2 ~readers:2
+               ~crashes:1 ~seed:23 ())
+        in
+        holds "ws-regular" (Ws_check.check_ws_regular r.history));
+    test "wait-free under concurrent chaos and f crashes" (fun () ->
+        let r =
+          scenario_ok
+            (Scenario.chaos cds_sim p ~writes_per_writer:2 ~readers:2
+               ~reads_per_reader:2 ~crashes:1 ~seed:37 ())
+        in
+        Alcotest.(check bool) "every op completed" true
+          (List.for_all Regemu_history.History.is_complete r.history));
+  ]
+
 let suites =
   [
     ("cds codec", codec_tests);
@@ -318,4 +371,5 @@ let suites =
     ("cds chaos", chaos_tests);
     ("cds dst", dst_tests);
     ("cds compare", compare_tests);
+    ("cds shm", shm_tests);
   ]

@@ -276,6 +276,27 @@ let wipe_everyone cluster =
     Cluster.restart cluster s
   done
 
+(* a write returns after f+1 acknowledgements; wait until the last
+   replica has applied its update too, so a wipe really erases every
+   copy instead of racing the update still in flight *)
+let await_on_every_replica cluster =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec go () =
+    if
+      not
+        (List.for_all
+           (fun s -> Cluster.server_resident_cells cluster ~server:s > 0)
+           [ 0; 1; 2 ])
+    then
+      if Unix.gettimeofday () > deadline then
+        Alcotest.fail "the write never reached every replica"
+      else begin
+        Thread.delay 0.001;
+        go ()
+      end
+  in
+  go ()
+
 let recovery_tests =
   [
     test "persist: state survives a rolling restart of every server"
@@ -304,6 +325,7 @@ let recovery_tests =
         Cluster.start cluster;
         let checker = Checker.spawn cluster () in
         Abd_live.write abd w (Value.Str "volatile");
+        await_on_every_replica cluster;
         wipe_everyone cluster;
         Alcotest.(check value) "read returns the initial value" Value.v0
           (Abd_live.read abd r);

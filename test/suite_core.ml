@@ -10,41 +10,26 @@ let params k f n = Params.make_exn ~k ~f ~n
 
 (* --- Layout --------------------------------------------------------- *)
 
-let layout_for p =
-  let sim = Sim.create ~n:p.Params.n () in
-  (sim, Layout.build sim p)
+let layout_for p = Layout.make p
 
 let layout_props p =
-  let sim, layout = layout_for p in
+  let layout = layout_for p in
   (* total size matches the upper-bound formula *)
   Alcotest.(check int)
     (Fmt.str "size at %a" Params.pp p)
     (Formulas.register_upper_bound p)
     (Layout.size layout);
-  (* sets are pairwise disjoint *)
   let sets = List.init (Layout.num_sets layout) (Layout.set layout) in
-  List.iteri
-    (fun i si ->
-      List.iteri
-        (fun j sj ->
-          if i < j then
-            Array.iter
-              (fun b ->
-                if Array.exists (Id.Obj.equal b) sj then
-                  Alcotest.failf "sets %d and %d share %a" i j Id.Obj.pp b)
-              si)
-        sets)
-    sets;
   (* within a set, registers sit on pairwise distinct servers *)
   List.iter
     (fun s ->
       let servers =
-        Array.to_list s |> List.map (Sim.delta sim)
-        |> Id.Server.set_of_list
+        Array.to_list s
+        |> List.map (fun (c : Layout.cell) -> c.server)
+        |> List.sort_uniq compare
       in
-      Alcotest.(check int)
-        "distinct servers" (Array.length s)
-        (Id.Server.Set.cardinal servers))
+      Alcotest.(check int) "distinct servers" (Array.length s)
+        (List.length servers))
     sets;
   (* every set size within [2f+1, n] *)
   List.iter
@@ -55,22 +40,23 @@ let layout_props p =
           ((2 * p.Params.f) + 1)
           p.Params.n)
     sets;
-  (* objects_on is consistent with delta *)
-  List.iter
-    (fun s ->
-      List.iter
-        (fun b ->
-          Alcotest.(check bool)
-            "delta matches" true
-            (Id.Server.equal (Sim.delta sim b) s))
-        (Layout.objects_on layout s))
-    (Sim.servers sim)
+  (* Algorithm 2 allocates exactly the layout: object i is cell i, on
+     the cell's server *)
+  let sim = Sim.create ~n:p.Params.n () in
+  let writers = List.init p.Params.k (fun _ -> Sim.new_client sim) in
+  let objects = (Algorithm2.factory.make sim p ~writers).objects () in
+  Alcotest.(check int) "objects" (Layout.size layout) (List.length objects);
+  List.iter2
+    (fun b (c : Layout.cell) ->
+      Alcotest.(check int) "delta matches" c.server
+        (Id.Server.to_int (Sim.delta sim b)))
+    objects (Layout.cells layout)
 
 let layout_tests =
   [
     test "figure 1 parameters: 25 registers in 5 disjoint sets" (fun () ->
         let p = params 5 2 6 in
-        let _, layout = layout_for p in
+        let layout = layout_for p in
         Alcotest.(check int) "sets" 5 (Layout.num_sets layout);
         Alcotest.(check int) "size" 25 (Layout.size layout);
         layout_props p);
@@ -81,7 +67,7 @@ let layout_tests =
     test "writer slots map to sets by floor(slot/z)" (fun () ->
         let p = params 5 2 10 in
         (* z = 3: slots 0,1,2 -> set 0; slots 3,4 -> overflow set 1 *)
-        let _, layout = layout_for p in
+        let layout = layout_for p in
         List.iter
           (fun (slot, expect) ->
             Alcotest.(check int)
@@ -90,7 +76,7 @@ let layout_tests =
               (Layout.set_index_for_slot layout ~slot))
           [ (0, 0); (1, 0); (2, 0); (3, 1); (4, 1) ]);
     test "slot out of range rejected" (fun () ->
-        let _, layout = layout_for (params 2 1 3) in
+        let layout = layout_for (params 2 1 3) in
         Alcotest.(check bool)
           "raises" true
           (try
@@ -99,10 +85,11 @@ let layout_tests =
            with Invalid_argument _ -> true));
     test "server count mismatch rejected" (fun () ->
         let sim = Sim.create ~n:4 () in
+        let writers = List.init 2 (fun _ -> Sim.new_client sim) in
         Alcotest.(check bool)
           "raises" true
           (try
-             ignore (Layout.build sim (params 2 1 3));
+             ignore (Algorithm2.factory.make sim (params 2 1 3) ~writers);
              false
            with Invalid_argument _ -> true));
   ]

@@ -96,7 +96,7 @@ let latency_tests =
     test "layered included exactly when n = 2f+1" (fun () ->
         let has_layered q =
           List.exists
-            (fun (r : Latency.row) -> r.algo = "layered-2f+1")
+            (fun (r : Latency.row) -> r.algo = "layered")
             (Latency.compute q ~rounds:1)
         in
         Alcotest.(check bool) "at 2f+1" true

@@ -415,42 +415,6 @@ let cds_scenario_tests =
            | Ok r -> cds_holds r));
   ]
 
-(* --- wire fuzzing ---------------------------------------------------------- *)
-
-let net_fuzz_tests =
-  [
-    test "abd and wire-algorithm2 fuzz clean" (fun () ->
-        List.iter
-          (fun protocol ->
-            let o =
-              Net_fuzz.run ~protocol ~p:p_net ~runs:12 ~seed:50 ()
-            in
-            Alcotest.(check int)
-              (Fmt.str "%s clean" protocol.Net_scenario.name)
-              0
-              (o.ws_safe_violations + o.ws_regular_violations
-              + o.liveness_failures))
-          [
-            Net_scenario.abd ~write_back:false;
-            Net_scenario.abd ~write_back:true;
-            Net_scenario.alg2;
-          ]);
-    test "fuzz outcome bookkeeping" (fun () ->
-        let o =
-          Net_fuzz.run ~protocol:Net_scenario.alg2 ~p:p_net ~runs:5 ~seed:1 ()
-        in
-        Alcotest.(check int) "runs" 5 o.runs;
-        Alcotest.(check (option int)) "no bad seed" None o.first_bad_seed);
-    test "wire-CDS fuzz clean" (fun () ->
-        let o =
-          Net_fuzz.run ~protocol:Net_scenario.cds ~p:p_net ~runs:12 ~seed:50 ()
-        in
-        Alcotest.(check int)
-          "no violations" 0
-          (o.ws_safe_violations + o.ws_regular_violations
-         + o.liveness_failures));
-  ]
-
 let suites =
   [
     ("netsim:network", net_tests);
@@ -460,5 +424,4 @@ let suites =
     ("netsim:scenarios", scenario_tests);
     ("netsim:alg2-scenarios", alg2_scenario_tests);
     ("netsim:cds-scenarios", cds_scenario_tests);
-    ("netsim:fuzz", net_fuzz_tests);
   ]

@@ -534,6 +534,18 @@ let benchdoc_tests =
         Alcotest.(check (option bool)) "clean is the AND of the rows"
           (Some false)
           (Option.bind (Json.member "clean" doc) Json.to_bool_opt));
+    test "the manifest commit is marked dirty when tracked files differ"
+      (fun () ->
+        let sha = String.make 40 'a' in
+        let label head status = Benchdoc.commit_label ~head ~status in
+        Alcotest.(check string) "clean" sha (label (Some [ sha ]) (Some []));
+        Alcotest.(check string) "dirty" (sha ^ "-dirty")
+          (label (Some [ sha ]) (Some [ " M lib/obs/benchdoc.ml" ]));
+        Alcotest.(check string) "status unavailable" sha
+          (label (Some [ sha ]) None);
+        Alcotest.(check string) "no repository" "unknown" (label None None);
+        Alcotest.(check string) "not a SHA" "unknown"
+          (label (Some [ "HEAD" ]) (Some [])));
     test "wrong schema tag rejected" (fun () ->
         bd_reject "bench/2"
           (bd_set "schema" (Some (Json.Str "regemu-bench/2")) (bd_doc bd_ab)));

@@ -76,32 +76,16 @@ let small_params =
 
 let layout_props =
   [
-    prop ~count:150 "objects_on partitions all_objects" small_params (fun p ->
-        let sim = Sim.create ~n:p.Params.n () in
-        let layout = Layout.build sim p in
+    prop ~count:150 "on_server partitions the cells" small_params (fun p ->
+        let layout = Layout.make p in
         let by_server =
-          List.concat_map (Layout.objects_on layout) (Sim.servers sim)
+          List.concat_map (Layout.on_server layout) (List.init p.Params.n Fun.id)
         in
-        List.sort compare (List.map Id.Obj.to_int by_server)
-        = List.sort compare (List.map Id.Obj.to_int (Layout.all_objects layout)));
-    prop ~count:150 "set_for_slot agrees with set/set_index_for_slot"
-      small_params (fun p ->
-        let sim = Sim.create ~n:p.Params.n () in
-        let layout = Layout.build sim p in
-        List.for_all
-          (fun slot ->
-            Layout.set_for_slot layout ~slot
-            == Layout.set layout (Layout.set_index_for_slot layout ~slot))
-          (List.init p.Params.k Fun.id));
+        List.sort compare by_server = List.sort compare (Layout.cells layout));
     prop ~count:150 "per-server load is balanced within sets count"
       small_params (fun p ->
-        let sim = Sim.create ~n:p.Params.n () in
-        let layout = Layout.build sim p in
-        List.for_all
-          (fun s ->
-            List.length (Layout.objects_on layout s)
-            <= Layout.num_sets layout)
-          (Sim.servers sim));
+        let layout = Layout.make p in
+        Layout.max_load layout <= Layout.num_sets layout);
   ]
 
 (* --- conservation over runs ------------------------------------------------ *)

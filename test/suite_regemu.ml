@@ -12,7 +12,8 @@ let umbrella_tests =
           (List.length (List.sort_uniq compare names));
         Alcotest.(check bool) "has algorithm2" true
           (List.mem "algorithm2" names);
-        Alcotest.(check int) "seven algorithms" 7 (List.length names));
+        Alcotest.(check bool) "has cds" true (List.mem "cds" names);
+        Alcotest.(check int) "eight algorithms" 8 (List.length names));
     test "factory names match their Emulation.name" (fun () ->
         List.iter
           (fun (name, (f : Regemu.Emulation.factory)) ->
