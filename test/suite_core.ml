@@ -92,6 +92,46 @@ let layout_tests =
              ignore (Algorithm2.factory.make sim (params 2 1 3) ~writers);
              false
            with Invalid_argument _ -> true));
+    test "spread: set i's register j is on server (i+j) mod n" (fun () ->
+        let p = params 5 2 10 in
+        List.iter
+          (fun (c : Layout.cell) ->
+            Alcotest.(check int)
+              (Fmt.str "R_%d[%d]" c.set c.index)
+              ((c.set + c.index) mod p.Params.n)
+              c.server)
+          (Layout.cells (layout_for p)));
+    test "naive: one set of 2f+1 on servers 0..2f, shared by every writer"
+      (fun () ->
+        let p = params 5 2 10 in
+        let layout = Layout.make ~placement:Layout.Naive p in
+        Alcotest.(check int) "sets" 1 (Layout.num_sets layout);
+        Alcotest.(check (list int)) "servers" [ 0; 1; 2; 3; 4 ]
+          (List.map (fun (c : Layout.cell) -> c.server) (Layout.cells layout));
+        Alcotest.(check int) "max load" 1 (Layout.max_load layout);
+        List.iter
+          (fun slot ->
+            Alcotest.(check int) (Fmt.str "slot %d" slot) 0
+              (Layout.set_index_for_slot layout ~slot))
+          (List.init p.Params.k Fun.id));
+    test "colocated: spread's set sizes, register j on server j/2 mod n"
+      (fun () ->
+        let p = params 5 2 10 in
+        let spread = layout_for p in
+        let colocated = Layout.make ~placement:Layout.Colocated p in
+        Alcotest.(check int) "size" (Layout.size spread) (Layout.size colocated);
+        Alcotest.(check (list int)) "set sizes"
+          (List.init (Layout.num_sets spread) (fun i ->
+               Array.length (Layout.set spread i)))
+          (List.init (Layout.num_sets colocated) (fun i ->
+               Array.length (Layout.set colocated i)));
+        List.iter
+          (fun (c : Layout.cell) ->
+            Alcotest.(check int)
+              (Fmt.str "R_%d[%d]" c.set c.index)
+              (c.index / 2 mod p.Params.n)
+              c.server)
+          (Layout.cells colocated));
   ]
 
 let gen_params =

@@ -1,5 +1,6 @@
 (* Edge and error paths across the public APIs, plus focused unit tests
-   for Algorithm 2's covering-discipline quorum write. *)
+   for Algorithm 2's covering-discipline quorum write and for the
+   shared-memory runtime's request-to-operation mapping. *)
 
 open Regemu_bounds
 open Regemu_objects
@@ -172,6 +173,132 @@ let quorum_write_tests =
         | _ -> Alcotest.fail "expected one write");
   ]
 
+(* --- Runtime.Shm (one request, one low-level operation) -------------------- *)
+
+module Shm = Regemu_netsim.Runtime.Shm
+module Proto = Regemu_netsim.Proto
+
+let shm_setup n =
+  let sim = Sim.create ~n () in
+  (sim, Shm.create sim, Sim.new_client sim)
+
+(* send [req] to [server] and keep its one reply *)
+let shm_rpc t c server req =
+  let got = ref None in
+  Shm.rpc t ~src:c server ~make:req ~handler:(fun r -> got := Some r);
+  got
+
+let respond_all sim =
+  List.iter (fun (p : Sim.pending_info) -> Sim.fire sim (Sim.Respond p.lid)) (Sim.pending sim)
+
+let shm_tests =
+  [
+    test "requests to cells that were never allocated raise" (fun () ->
+        let _, t, c = shm_setup 2 in
+        ignore (Shm.alloc_reg t ~server:0);
+        let send server req =
+          raises (fun () -> ignore (shm_rpc t c server req))
+        in
+        Alcotest.(check bool) "register index past the last" true
+          (send 0 (fun rid -> Proto.Reg_read { rid; reg = 1 }));
+        Alcotest.(check bool) "no register on that server" true
+          (send 1 (fun rid -> Proto.Reg_read { rid; reg = 0 }));
+        Alcotest.(check bool) "no max-register" true
+          (send 0 (fun rid -> Proto.Query { rid }));
+        Alcotest.(check bool) "no writer slots" true
+          (send 0 (fun rid -> Proto.Cquery { rid }));
+        Alcotest.(check bool) "a reply is not a request" true
+          (send 0 (fun rid -> Proto.Update_reply { rid })));
+    test "max-register and writer slots are allocated once per server"
+      (fun () ->
+        let _, t, _ = shm_setup 1 in
+        Shm.alloc_max t ~server:0;
+        Shm.alloc_slots t ~server:0 ~slots:2;
+        Alcotest.(check bool) "second max-register" true
+          (raises (fun () -> Shm.alloc_max t ~server:0));
+        Alcotest.(check bool) "second slot array" true
+          (raises (fun () -> Shm.alloc_slots t ~server:0 ~slots:2)));
+    test "objects lists every base object in allocation order" (fun () ->
+        let sim, t, _ = shm_setup 3 in
+        Alcotest.(check int) "first cell" 0 (Shm.alloc_reg t ~server:0);
+        Shm.alloc_max t ~server:1;
+        Shm.alloc_slots t ~server:2 ~slots:2;
+        Alcotest.(check int) "second cell" 1 (Shm.alloc_reg t ~server:0);
+        let objs = Shm.objects t in
+        Alcotest.(check (list int)) "servers" [ 0; 1; 2; 2; 0 ]
+          (List.map (fun b -> Id.Server.to_int (Sim.delta sim b)) objs);
+        Alcotest.(check bool) "kinds" true
+          (List.map (Sim.kind_of sim) objs
+          = Base_object.
+              [ Register; Max_register; Max_register; Max_register; Register ]);
+        Alcotest.(check int) "nothing else in the simulator"
+          (List.length (Sim.objects sim)) (List.length objs));
+    test "a request replies only when its operation responds" (fun () ->
+        let sim, t, c = shm_setup 1 in
+        let r = Shm.alloc_reg t ~server:0 in
+        let ack =
+          shm_rpc t c 0 (fun rid ->
+              Proto.Reg_write { rid; reg = r; proposed = Value.Int 4 })
+        in
+        Alcotest.(check int) "one pending write" 1 (List.length (Sim.pending sim));
+        Alcotest.(check bool) "no reply yet" true (!ack = None);
+        respond_all sim;
+        (match !ack with
+        | Some (Proto.Reg_write_reply { rid = 0 }) -> ()
+        | _ -> Alcotest.fail "expected the write's reply under rid 0");
+        let read = shm_rpc t c 0 (fun rid -> Proto.Reg_read { rid; reg = r }) in
+        respond_all sim;
+        match !read with
+        | Some (Proto.Reg_read_reply { rid = 1; stored }) ->
+            Alcotest.(check bool) "reads the write" true
+              (Value.equal stored (Value.Int 4))
+        | _ -> Alcotest.fail "expected the read's reply under rid 1");
+    test "Cquery replies once every slot answered, resident slots only"
+      (fun () ->
+        let sim, t, c = shm_setup 1 in
+        Shm.alloc_slots t ~server:0 ~slots:3;
+        ignore
+          (shm_rpc t c 0 (fun rid ->
+               Proto.Cwrite { rid; slot = 1; proposed = Value.Int 5 }));
+        respond_all sim;
+        let q = shm_rpc t c 0 (fun rid -> Proto.Cquery { rid }) in
+        let reads = Sim.pending sim in
+        Alcotest.(check int) "one read-max per slot" 3 (List.length reads);
+        List.iteri
+          (fun i (p : Sim.pending_info) ->
+            Alcotest.(check bool) (Fmt.str "no reply after %d" i) true (!q = None);
+            Sim.fire sim (Sim.Respond p.lid))
+          reads;
+        match !q with
+        | Some (Proto.Cquery_reply { slots = [ (1, v) ]; _ }) ->
+            Alcotest.(check bool) "slot 1's value" true (Value.equal v (Value.Int 5))
+        | _ -> Alcotest.fail "expected one resident slot");
+    test "quorum_round returns the fold of exactly quorum replies" (fun () ->
+        let sim, t, c = shm_setup 3 in
+        List.iter (fun s -> Shm.alloc_max t ~server:s) [ 0; 1; 2 ];
+        let call =
+          Shm.invoke t c Trace.H_read (fun () ->
+              Value.Int
+                (Shm.quorum_round t c ~quorum:2
+                   ~make:(fun rid -> Proto.Query { rid })
+                   ~fold:(fun n _ -> n + 1) ~init:0 [ 0; 1; 2 ]))
+        in
+        let queries = Sim.pending sim in
+        Alcotest.(check int) "a query to every replica" 3 (List.length queries);
+        (match queries with
+        | a :: b :: _ ->
+            Sim.fire sim (Sim.Respond a.lid);
+            Alcotest.(check bool) "one reply is not a quorum" true
+              (not (List.mem (Sim.Step c) (Sim.enabled sim)));
+            Sim.fire sim (Sim.Respond b.lid)
+        | _ -> ());
+        step_writer sim;
+        Alcotest.(check bool) "two replies folded" true
+          (match Sim.call_result call with
+          | Some v -> Value.equal v (Value.Int 2)
+          | None -> false));
+  ]
+
 (* --- formulas edge cases ----------------------------------------------------- *)
 
 let formula_edge_tests =
@@ -201,5 +328,6 @@ let suites =
   [
     ("edges:sim", sim_edge_tests);
     ("edges:quorum-write", quorum_write_tests);
+    ("edges:shm-runtime", shm_tests);
     ("edges:formulas", formula_edge_tests);
   ]
